@@ -2,16 +2,25 @@
 
 The objective (k/n) * diananda_sum(x, k) is homogeneous of degree zero, so
 descent runs in log coordinates y = ln x restricted to the gauge sum(y) = 0.
-Multi-start projected gradient descent with a backtracking line search is
-combined with a uniform start, a witness-shaped start when k divides n, and
-cheap boundary probes; the best value found is an upper bound on the true
-infimum, never asserted to equal it.  A brute-force grid oracle for n <= 5
-provides an independent cross-check on desk-scale instances.
+All starts of one `minimize` call (the uniform vector, a witness-shaped
+profile when k divides n, and seeded random draws) form one (R, n) array
+that is descended together by limited-memory BFGS (Liu & Nocedal 1989): a
+two-loop recursion over the last few step pairs and a per-row Armijo
+backtracking search that accepts only a strict decrease.  Rows that reach
+the gradient tolerance or can no longer decrease leave the active set.  The
+best value found is an upper bound on the true infimum, never asserted to
+equal it.  A brute-force grid oracle for n <= 5 provides an independent
+cross-check on desk-scale instances.
+
+The descent, `gradient` and the grid oracle share one slice-based kernel:
+window sums (`sums._window_sums`, row-wise) and the gradient's k-fold
+accumulation are slices of an extended copy of each row, never `np.roll`.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -19,7 +28,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError, DegenerateFamilyError, NoBracketError
 from .funcs import lower_bound_theorem2
-from .sums import CyclicVector, as_cyclic_vector, _window_sums, _check_window
+from .sums import CyclicVector, as_cyclic_vector, _check_window, _window_sums
 
 __all__ = [
     "MinimizeConfig",
@@ -31,6 +40,35 @@ __all__ = [
 ]
 
 _GRID_BUDGET = 10**8
+
+_MEMORY = 5  # L-BFGS step pairs kept per row
+_ARMIJO = 1e-4  # sufficient-decrease constant
+_BACKTRACKS = 40  # step halvings before a row gives up
+_STEP_CAP = 2.0  # largest change of any log coordinate in one step
+# Largest spread max(y) - min(y) of a point the descent evaluates.  Under the
+# gauge sum(y) = 0 every entry then lies in [e^-300, e^300] and x_i / t_i^2 in
+# the gradient stays below e^600, so no value, square or quotient overflows.
+_LOG_SPREAD_CAP = 300.0
+
+
+def _window_kernel(x: np.ndarray, k: int):
+    """Window sums of each row of x and the gradient's k-fold accumulation.
+
+    x has shape (..., n).  Returns (denom, acc): denom[..., j] is the sum
+    t_{j+1,k} of the k entries after j (cyclically), and acc[..., m] is the
+    sum over d = 1..k of w[..., m - d] with w = x / denom^2, so the gradient
+    of diananda_sum is 1/denom - acc.  Both sums run over slices of an
+    extended copy in the order d = 1..k, so each row is computed exactly as
+    it would be alone.
+    """
+    n = x.shape[-1]
+    denom = _window_sums(x, k, 1)
+    w = x / (denom * denom)
+    wext = np.concatenate((w[..., n - k :], w), axis=-1)
+    acc = wext[..., k - 1 : k - 1 + n].copy()
+    for d in range(2, k + 1):
+        acc += wext[..., k - d : k - d + n]
+    return denom, acc
 
 
 def gradient(x: "CyclicVector | Sequence[float]", k: int) -> np.ndarray:
@@ -46,11 +84,7 @@ def gradient(x: "CyclicVector | Sequence[float]", k: int) -> np.ndarray:
     if np.any(a == 0.0):
         bad = int(np.nonzero(a == 0.0)[0][0])
         raise DomainError(f"entry {bad + 1} is zero; the gradient needs x > 0")
-    denom = _window_sums(a, k, 1)
-    w = a / (denom * denom)
-    acc = np.zeros(v.n)
-    for d in range(1, k + 1):
-        acc += np.roll(w, d)
+    denom, acc = _window_kernel(a, k)
     return 1.0 / denom - acc
 
 
@@ -67,7 +101,10 @@ class MinimizationResult:
     """Best value found for (k/n) * diananda_sum together with its certificate floor.
 
     value is an upper bound on the normalized infimum; certified_floor is the
-    unconditional k (2^{1/k} - 1) analytic floor.
+    unconditional k (2^{1/k} - 1) analytic floor.  restarts_used counts the
+    starts actually descended (uniform, witness-shaped and random);
+    converged_starts counts those that reached grad_tol; converged and
+    gradient_norm describe the winning start.
     """
 
     n: int
@@ -76,6 +113,7 @@ class MinimizationResult:
     x_best: CyclicVector
     certified_floor: float
     restarts_used: int
+    converged_starts: int
     converged: bool
     gradient_norm: float
 
@@ -88,6 +126,7 @@ class MinimizationResult:
             + f'"certified_floor": {format(self.certified_floor, ".17g")}, '
             + f'"converged": {"true" if self.converged else "false"}, '
             + f'"restarts_used": {self.restarts_used}, '
+            + f'"converged_starts": {self.converged_starts}, '
             + f'"gradient_norm": {format(self.gradient_norm, ".17g")}, '
             + f'"x_best": [{xs}]'
             + "}"
@@ -95,59 +134,157 @@ class MinimizationResult:
 
 
 def _objective(y: np.ndarray, k: int):
-    """Value and y-gradient of (k/n) * diananda_sum(exp(y), k), gauge-projected."""
-    n = y.size
+    """Values and gauge-projected y-gradients of (k/n) * diananda_sum(exp(y), k), per row.
+
+    y has shape (R, n); returns values of shape (R, 1) and gradients (R, n).
+    """
+    n = y.shape[-1]
     x = np.exp(y)
-    denom = _window_sums(x, k, 1)
-    val = (k / n) * float(np.sum(x / denom))
-    w = x / (denom * denom)
-    acc = np.zeros(n)
-    for d in range(1, k + 1):
-        acc += np.roll(w, d)
-    grad_y = (k / n) * (1.0 / denom - acc) * x
-    grad_y -= grad_y.mean()
-    return val, grad_y, x
+    denom, acc = _window_kernel(x, k)
+    terms = x / denom
+    scale = k / n
+    grad = terms - x * acc  # x times the x-gradient
+    grad *= scale
+    grad -= grad.sum(axis=-1, keepdims=True) / n
+    return scale * terms.sum(axis=-1, keepdims=True), grad
+
+
+@dataclass(frozen=True)
+class _Descent:
+    """Per-row outcome of a batched descent."""
+
+    value: np.ndarray
+    y: np.ndarray
+    gradient_norm: np.ndarray
+    converged: np.ndarray
+    iterations: np.ndarray
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products, shape (R, 1)."""
+    return np.vecdot(a, b, keepdims=True)
+
+
+def _armijo(f_try: np.ndarray, f: np.ndarray, t: np.ndarray, gp: np.ndarray) -> np.ndarray:
+    """Rows whose trial value decreases strictly and by the Armijo margin."""
+    return ((f_try < f) & (f_try <= f + _ARMIJO * t * gp))[:, 0]
+
+
+def _descend(y0: np.ndarray, k: int, max_iters: int, grad_tol: float) -> _Descent:
+    """Batched L-BFGS in log coordinates from the rows of y0, shape (R, n).
+
+    Rows share nothing but the loop: each keeps its own step pairs, step
+    length and stopping state, so a row descends as it would alone.  A row
+    stops when its gradient inf-norm reaches grad_tol (converged), when no
+    step of its backtracking search decreases the value strictly, or after
+    max_iters iterations.  Each step moves every log coordinate by at most
+    _STEP_CAP and keeps the spread of y within _LOG_SPREAD_CAP.
+    """
+    y = np.array(y0, dtype=float, ndmin=2)
+    if not np.isfinite(y).all():
+        raise DomainError("a start has a non-finite log coordinate")
+    y -= y.mean(axis=1, keepdims=True)
+    spread = y.max(axis=1, keepdims=True) - y.min(axis=1, keepdims=True)
+    if np.any(spread > _LOG_SPREAD_CAP):
+        raise DomainError(f"a start spreads over more than {_LOG_SPREAD_CAP} in log coordinates")
+    val, g = _objective(y, k)
+    iters = np.zeros(y.shape[0], dtype=int)
+    tol = max(grad_tol, 0.0)  # a zero gradient always stops a row
+    live = np.flatnonzero(np.abs(g).max(axis=1) > tol)  # row of y behind each active row
+
+    ya, fa, ga, spread = y[live], val[live], g[live], spread[live]
+    # the first step moves the largest coordinate by 1
+    h0 = 1.0 / np.abs(ga).max(axis=1, keepdims=True)
+    # per stored step, oldest first: (s, dg, rho * s, rho * dg) with rho = 1 / (s . dg)
+    mem: deque = deque(maxlen=_MEMORY)
+    for it in range(max_iters):
+        if live.size == 0:
+            break
+        # two-loop recursion: p = -H g
+        p = -ga
+        alphas = []
+        for s, dg, rs, rdg in reversed(mem):
+            a = _dot(rs, p)
+            p -= a * dg
+            alphas.append(a)
+        p *= h0
+        for (s, dg, rs, rdg), a in zip(mem, reversed(alphas)):
+            p += (a - _dot(rdg, p)) * s
+        gp = _dot(ga, p)
+        if not (gp < 0.0).all():  # forget the curvature pairs of uphill rows, fall back to -g
+            up = ~(gp < 0.0)[:, 0]
+            for _, _, rs, rdg in mem:
+                rs[up] = 0.0
+                rdg[up] = 0.0
+            h0[up] = 1.0 / np.abs(ga[up]).max(axis=1, keepdims=True)
+            p[up] = -h0[up] * ga[up]
+            gp[up] = _dot(ga[up], p[up])
+
+        # per-row Armijo backtracking that accepts only a strict decrease
+        pmax = np.abs(p).max(axis=1, keepdims=True)
+        t = np.minimum(1.0, np.minimum(_STEP_CAP, 0.5 * (_LOG_SPREAD_CAP - spread)) / pmax)
+        y_new = ya + t * p
+        f_new, g_new = _objective(y_new, k)
+        ok = _armijo(f_new, fa, t, gp)
+        if not ok.all():
+            todo = np.flatnonzero(~ok)
+            for _ in range(_BACKTRACKS):
+                # give up where the predicted decrease is below the value's resolution
+                todo = todo[(-t[todo] * gp[todo] >= np.spacing(fa[todo]))[:, 0]]
+                if todo.size == 0:
+                    break
+                t[todo] *= 0.5
+                y_try = ya[todo] + t[todo] * p[todo]
+                f_try, g_try = _objective(y_try, k)
+                hit = _armijo(f_try, fa[todo], t[todo], gp[todo])
+                rows = todo[hit]
+                y_new[rows], f_new[rows], g_new[rows] = y_try[hit], f_try[hit], g_try[hit]
+                ok[rows] = True
+                todo = todo[~hit]
+            y_new[~ok], f_new[~ok], g_new[~ok] = ya[~ok], fa[~ok], ga[~ok]
+
+        # store the step pair; a row failing the curvature test gets rho = 0
+        s, dg = y_new - ya, g_new - ga
+        sy, yy = _dot(s, dg), _dot(dg, dg)
+        good = sy > 1e-12 * yy
+        rho = np.divide(1.0, sy, out=np.zeros_like(sy), where=good)
+        mem.append((s, dg, rho * s, rho * dg))
+        np.divide(sy, yy, out=h0, where=good)
+
+        ya, fa, ga = y_new, f_new, g_new
+        spread = ya.max(axis=1, keepdims=True) - ya.min(axis=1, keepdims=True)
+        stay = ok & (np.abs(ga).max(axis=1) > tol)
+        if not stay.all():
+            done = live[~stay]
+            y[done], val[done], g[done] = ya[~stay], fa[~stay], ga[~stay]
+            iters[done] = it + ok[~stay]
+            ya, fa, ga, h0, spread = ya[stay], fa[stay], ga[stay], h0[stay], spread[stay]
+            mem = deque((tuple(v[stay] for v in m) for m in mem), maxlen=_MEMORY)
+            live = live[stay]
+    y[live], val[live], g[live] = ya, fa, ga
+    iters[live] = max_iters
+    gnorm = np.abs(g).max(axis=1)
+    return _Descent(val[:, 0], y, gnorm, gnorm <= grad_tol, iters)
 
 
 def descend_from(
     y0: np.ndarray, k: int, max_iters: int = 600, grad_tol: float = 1e-10
 ):
-    """Projected gradient descent in log coordinates from the start y0.
+    """L-BFGS descent in log coordinates from the single start y0.
 
-    Backtracking line search with sufficient decrease; the accepted step
-    seeds the next trial step.  Returns (value, x, grad_inf_norm, converged).
+    A one-row call of the batched descent that `minimize` runs on all its
+    starts at once.  Returns (value, x, grad_inf_norm, converged).
     """
-    y = np.asarray(y0, dtype=float).copy()
-    y -= y.mean()
-    val, g, x = _objective(y, k)
-    step = 1.0
-    converged = False
-    for _ in range(max_iters):
-        gnorm = float(np.max(np.abs(g)))
-        if gnorm <= grad_tol:
-            converged = True
-            break
-        gg = float(g @ g)
-        t = step
-        accepted = False
-        for _ in range(60):
-            y_try = y - t * g
-            y_try -= y_try.mean()
-            val_try, g_try, x_try = _objective(y_try, k)
-            if val_try <= val - 1e-4 * t * gg:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            break
-        y, val, g, x = y_try, val_try, g_try, x_try
-        step = min(2.0 * t, 64.0)
-    gnorm = float(np.max(np.abs(g)))
-    return val, x, gnorm, converged or gnorm <= grad_tol
+    d = _descend(np.asarray(y0, dtype=float)[None, :], k, max_iters, grad_tol)
+    return float(d.value[0]), np.exp(d.y[0]), float(d.gradient_norm[0]), bool(d.converged[0])
 
 
 def _witness_shaped_log_start(n: int, k: int) -> Optional[np.ndarray]:
-    """Log coordinates of a witness-like profile of length n, zeros floored."""
+    """Log coordinates of a witness-like profile of length n, zeros floored.
+
+    The profile's spread grows with n (about 70 at n = 1000); beyond
+    _LOG_SPREAD_CAP its lowest entries are raised to the cap.
+    """
     if k < 2 or n % k != 0 or n < 2 * k:
         return None
     try:
@@ -166,31 +303,18 @@ def _witness_shaped_log_start(n: int, k: int) -> Optional[np.ndarray]:
     i_dense = np.arange(m_prime, n + 1)
     logx[i_dense - 1] = sol.a * (i_dense - n) / k
     floor = logx[np.isfinite(logx)].min() - 27.6  # zeros at ~1e-12 of the smallest
-    return np.where(np.isfinite(logx), logx, floor)
-
-
-def _boundary_probe_values(n: int, k: int):
-    """Cheap near-boundary candidates: geometric spikes at several decades."""
-    out = []
-    base = np.arange(n, dtype=float)
-    for log_ratio in (1.0, 3.0, 6.0, 9.0):
-        y = base * log_ratio
-        y -= y.mean()
-        if y.max() > 650.0:
-            continue
-        val, g, x = _objective(y, k)
-        out.append((val, x))
-    return out
+    logx = np.where(np.isfinite(logx), logx, floor)
+    return np.maximum(logx, logx.max() - _LOG_SPREAD_CAP)  # a start the descent accepts
 
 
 def minimize(n: int, k: int, config: MinimizeConfig | None = None) -> MinimizationResult:
     """Multi-start descent for the normalized cyclic sum at concrete (n, k).
 
-    Starts: the uniform vector, a witness-shaped profile when k | n, boundary
-    probes, and config.restarts random log-uniform draws seeded by
-    config.seed.  Ties below 1e-12 resolve to the earliest start for
-    determinism.  A start that exhausts max_iters reports converged=False but
-    still competes on value.
+    Starts: the uniform vector, a witness-shaped profile when k | n, and
+    config.restarts random log-uniform draws seeded by config.seed, all
+    descended as one batch.  Ties below 1e-12 resolve to the earliest start
+    for determinism.  A start that exhausts max_iters reports
+    converged=False but still competes on value.
     """
     n, k = int(n), int(k)
     if k < 1 or n < k:
@@ -205,29 +329,21 @@ def minimize(n: int, k: int, config: MinimizeConfig | None = None) -> Minimizati
     for _ in range(cfg.restarts):
         starts.append(rng.uniform(-3.0, 3.0, n))
 
-    best = None
-    for y0 in starts:
-        val, x, gnorm, conv = descend_from(
-            y0, k, max_iters=cfg.max_iters, grad_tol=cfg.grad_tol
-        )
-        if best is None or val < best[0] - 1e-12:
-            best = (val, x, gnorm, conv)
-
-    for val, x in _boundary_probe_values(n, k):
-        if val < best[0] - 1e-12:
-            gnorm = float(np.max(np.abs(gradient(x, k) * x))) * k / n
-            best = (val, x, gnorm, False)
-
-    val, x, gnorm, conv = best
+    d = _descend(np.stack(starts), k, cfg.max_iters, cfg.grad_tol)
+    best = 0
+    for r in range(1, len(starts)):
+        if d.value[r] < d.value[best] - 1e-12:
+            best = r
     return MinimizationResult(
         n=n,
         k=k,
-        value=val,
-        x_best=CyclicVector(x),
+        value=float(d.value[best]),
+        x_best=CyclicVector(np.exp(d.y[best])),
         certified_floor=lower_bound_theorem2(k),
-        restarts_used=cfg.restarts,
-        converged=conv,
-        gradient_norm=gnorm,
+        restarts_used=len(starts),
+        converged_starts=int(np.count_nonzero(d.converged)),
+        converged=bool(d.converged[best]),
+        gradient_norm=float(d.gradient_norm[best]),
     )
 
 
@@ -272,16 +388,14 @@ def grid_oracle(
     total = count ** (n - 1)
     powers = count ** np.arange(n - 1)
     best = math.inf
-    chunk = 1 << 17
+    chunk = 1 << 16
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total))
         digits = (idx[:, None] // powers[None, :]) % count
         block = np.empty((idx.size, n))
         block[:, 0] = 1.0
         block[:, 1:] = lv[digits]
-        denom = np.zeros_like(block)
-        for d in range(1, k + 1):
-            denom += np.roll(block, -d, axis=1)
+        denom = _window_sums(block, k, 1)
         vals = (k / n) * np.sum(block / denom, axis=1)
         m = float(vals.min())
         if m < best:

@@ -136,15 +136,16 @@ def _check_window(k: int, n: int) -> int:
 def _window_sums(a: np.ndarray, k: int, shift: int) -> np.ndarray:
     """Sums of k consecutive entries starting at storage index j + shift, for all j.
 
-    Each window is accumulated directly from its k entries (never by
-    differencing long prefix sums), so relative error stays at a few ulps per
-    window even when entry magnitudes span hundreds of orders.
+    Windows run along the last axis, so a 2-d array gives the window sums of
+    each row.  Each window is accumulated directly from its k entries (never
+    by differencing long prefix sums), so relative error stays at a few ulps
+    per window even when entry magnitudes span hundreds of orders.
     """
-    n = a.size
-    ext = np.concatenate([a, a[: min(k + shift, n)]]) if k + shift > 1 else a
-    acc = np.zeros(n)
+    n = a.shape[-1]
+    ext = np.concatenate([a, a[..., : min(k + shift, n)]], axis=-1) if k + shift > 1 else a
+    acc = np.zeros(a.shape)
     for d in range(k):
-        acc += ext[shift + d : shift + d + n]
+        acc += ext[..., shift + d : shift + d + n]
     return acc
 
 

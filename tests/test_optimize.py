@@ -6,6 +6,7 @@ for the gradient, and the exhaustive grid itself for the minimizer.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,20 @@ from cyclic_bounds import (
     lower_bound_theorem2,
     minimize,
 )
-from cyclic_bounds.optimize import descend_from
+from cyclic_bounds.optimize import _descend, descend_from
+
+
+def _roll_gradient(a, k):
+    """Reference gradient: window sums and shifts by np.roll, each summed from zeros over d = 1..k."""
+    n = a.size
+    denom = np.zeros(n)
+    for d in range(1, k + 1):
+        denom += np.roll(a, -d)
+    w = a / (denom * denom)
+    acc = np.zeros(n)
+    for d in range(1, k + 1):
+        acc += np.roll(w, d)
+    return 1.0 / denom - acc
 
 
 class TestGradient:
@@ -69,6 +83,15 @@ class TestGradient:
                 xs[(i - 1) % n] / t(i + 1) ** 2 for i in range(m - k, m)
             )
             assert g[m - 1] == pytest.approx(direct, rel=1e-13)
+
+    def test_bitwise_equal_to_roll_formula(self):
+        # the verify suite's golden bytes depend on every bit of the gradient
+        rng = np.random.default_rng(44)
+        for _ in range(50):
+            n = int(rng.integers(1, 60))
+            k = int(rng.integers(1, n + 1))
+            x = np.exp(rng.uniform(-4, 4, n))
+            assert np.array_equal(gradient(x, k), _roll_gradient(x, k)), (n, k)
 
     def test_rejects_zero_entries(self):
         with pytest.raises(DomainError):
@@ -120,6 +143,26 @@ class TestMinimize:
         v2, _, _, _ = descend_from(np.roll(y0, 3), 2)
         assert v1 == pytest.approx(v2, abs=1e-8)
 
+    def test_batched_rows_descend_as_alone(self):
+        rng = np.random.default_rng(12)
+        for n, k in [(5, 2), (9, 3), (14, 2), (30, 4)]:
+            stack = rng.uniform(-3, 3, (5, n))
+            batch = _descend(stack, k, 600, 1e-10)
+            for r in range(stack.shape[0]):
+                val, x, gnorm, conv = descend_from(stack[r], k)
+                assert abs(batch.value[r] - val) <= 1e-12, (n, k, r)
+                assert np.allclose(np.exp(batch.y[r]), x, rtol=1e-12, atol=0.0), (n, k, r)
+                assert bool(batch.converged[r]) == conv
+
+    def test_uniform_row_stops_at_once(self):
+        rng = np.random.default_rng(13)
+        stack = np.vstack([rng.uniform(-3, 3, 12), np.zeros(12), rng.uniform(-3, 3, 12)])
+        d = _descend(stack, 2, 600, 1e-10)
+        assert d.value[1] == 1.0
+        assert d.converged[1] and d.iterations[1] == 0
+        assert np.all(d.y[1] == 0.0)
+        assert np.all(d.iterations[[0, 2]] > 0)
+
     def test_bad_shape_rejected(self):
         with pytest.raises(DomainError):
             minimize(2, 3)
@@ -133,7 +176,32 @@ class TestMinimize:
         assert rec["value"] == pytest.approx(res.value, rel=1e-15)
         assert rec["certified_floor"] == pytest.approx(res.certified_floor, rel=1e-15)
         assert isinstance(rec["converged"], bool)
+        assert rec["restarts_used"] == res.restarts_used
+        assert rec["converged_starts"] == res.converged_starts
         assert len(rec["x_best"]) == 4
+
+    @pytest.mark.parametrize("n, k, witness", [(7, 2, False), (9, 2, False), (8, 2, True), (9, 3, True)])
+    def test_start_counts(self, n, k, witness):
+        # uniform start, the witness-shaped start when k | n, then the random draws
+        starts = 1 + witness + 3
+        res = minimize(n, k, MinimizeConfig(restarts=3, seed=1))
+        assert res.restarts_used == starts
+        assert 1 <= res.converged_starts <= starts  # the uniform start is stationary
+        # with no iterations only the stationary uniform start meets grad_tol
+        frozen = minimize(n, k, MinimizeConfig(restarts=3, seed=1, max_iters=0))
+        assert (frozen.restarts_used, frozen.converged_starts) == (starts, 1)
+        loose = minimize(n, k, MinimizeConfig(restarts=3, seed=1, grad_tol=10.0))
+        assert loose.converged_starts == starts
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("n", [60, 96, 120, 240])
+    def test_large_n_leaks_no_warning(self, n, k):
+        for seed in (0, 1):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = minimize(n, k, MinimizeConfig(restarts=2, seed=seed))
+            assert math.isfinite(res.value) and math.isfinite(res.gradient_norm)
+            assert res.value >= lower_bound_theorem2(k)
 
 
 class TestGridOracle:
