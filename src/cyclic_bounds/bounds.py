@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._records import csv_table, json_text, record
 from .funcs import INFINITY, lower_bound_theorem2
 from .optimize import MinimizeConfig, minimize
 from .sums import CyclicVector, diananda_sum, replicate, zero_insert
@@ -60,30 +61,15 @@ def bounds_table(k_max: int, tol: float = 1e-12) -> list[BoundsRow]:
     return rows
 
 
-def _fmt_k(k: float) -> str:
-    return "inf" if math.isinf(k) else str(int(k))
+_FIELDS = "k lower upper gap"
 
 
 def bounds_table_csv(rows: Sequence[BoundsRow]) -> str:
-    lines = ["k,lower,upper,gap"]
-    for r in rows:
-        lines.append(
-            f"{_fmt_k(r.k)},{r.lower:.17g},{r.upper:.17g},{r.gap:.17g}"
-        )
-    return "\n".join(lines) + "\n"
+    return csv_table(_FIELDS, [record(r, _FIELDS) for r in rows])
 
 
 def bounds_table_json(rows: Sequence[BoundsRow]) -> str:
-    recs = []
-    for r in rows:
-        key = f'"{_fmt_k(r.k)}"' if math.isinf(r.k) else _fmt_k(r.k)
-        recs.append(
-            "{"
-            + f'"k": {key}, "lower": {r.lower:.17g}, '
-            + f'"upper": {r.upper:.17g}, "gap": {r.gap:.17g}'
-            + "}"
-        )
-    return "[" + ", ".join(recs) + "]"
+    return json_text([record(r, _FIELDS) for r in rows])
 
 
 @dataclass(frozen=True)

@@ -9,35 +9,21 @@ json modes and 6 in text mode (the tangent intercept gamma keeps 12).
 from __future__ import annotations
 
 import argparse
-import math
-import os
 import sys
 
+from ._records import cell, json_text, record
 from .bounds import bounds_table, bounds_table_csv, bounds_table_json
 from .errors import CapacityError, CyclicBoundsError
 from .funcs import INFINITY
 from .optimize import MinimizeConfig, minimize
 from .sums import vector_to_lines
-from .tangent import gamma_table_csv, gamma_table_json, solve_tangent
+from .tangent import _solution_fields, gamma_table_csv, gamma_table_json, solve_tangent
 from .verification import report_to_json, run_verification
 from .witness import DEFAULT_N_CAP, build_witness, plan_witness, witness_value_and_bound
 
 __all__ = ["main", "entry_point"]
 
 _MAX_TOL = 1e-3
-
-
-def _read_thread_cap() -> int:
-    """Parallelism cap from CYCLIC_BOUNDS_THREADS; execution is serial, so any
-    positive cap is honored trivially."""
-    raw = os.environ.get("CYCLIC_BOUNDS_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        return 1
-    return max(cap, 1)
 
 
 def _tol_flag(parser: argparse.ArgumentParser) -> None:
@@ -57,6 +43,13 @@ def _check_tol(parser: argparse.ArgumentParser, tol: float) -> float:
 
 def _fmt6(v: float) -> str:
     return format(v, ".6g")
+
+
+def _write_text(fields: dict, width: int) -> None:
+    """One `label  value` line per field, labels padded to width; floats take 6 digits."""
+    for label, value in fields.items():
+        text = _fmt6(value) if isinstance(value, float) else value
+        sys.stdout.write(f"{label:<{width}}  {text}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,7 +113,7 @@ def _cmd_bounds(parser, args) -> int:
     else:
         sys.stdout.write(f"{'k':>6}  {'lower':>10}  {'upper':>10}  {'gap':>10}\n")
         for r in rows:
-            k = "inf" if math.isinf(r.k) else str(int(r.k))
+            k = cell("k", r.k)
             sys.stdout.write(
                 f"{k:>6}  {_fmt6(r.lower):>10}  {_fmt6(r.upper):>10}  {_fmt6(r.gap):>10}\n"
             )
@@ -144,16 +137,10 @@ def _cmd_tangent(parser, args) -> int:
     elif args.format == "json":
         sys.stdout.write(gamma_table_json([sol]) + "\n")
     else:
-        k_str = "inf" if math.isinf(sol.idx) else _fmt6(sol.idx)
-        sys.stdout.write(f"k       {k_str}\n")
-        sys.stdout.write(f"a       {_fmt6(sol.a)}\n")
-        sys.stdout.write(f"b       {_fmt6(sol.b)}\n")
-        sys.stdout.write(f"gamma   {format(sol.gamma, '.12g')}\n")
-        sys.stdout.write(f"lambda  {_fmt6(sol.lam)}\n")
-        sys.stdout.write(f"mu      {_fmt6(sol.mu)}\n")
-        sys.stdout.write(
-            "residuals  " + "  ".join(format(r, ".3g") for r in sol.residuals) + "\n"
-        )
+        fields = _solution_fields(sol)
+        fields["gamma"] = cell("gamma", sol.gamma)  # 12 digits in every format
+        fields["residuals"] = "  ".join(format(r, ".3g") for r in sol.residuals)
+        _write_text(fields, 6)
     return 0
 
 
@@ -170,30 +157,15 @@ def _cmd_witness(parser, args) -> int:
             fh.write(vector_to_lines(build_witness(spec)))
     ok = report.value <= report.analytic_bound < report.gamma_plus_eps
     if args.format == "json":
-        body = spec.to_json()[:-1]  # reopen the record to append the outcome
-        sys.stdout.write(
-            body
-            + f', "m_prime": {spec.m_prime}'
-            + f', "value": {format(report.value, ".17g")}'
-            + f', "analytic_bound": {format(report.analytic_bound, ".17g")}'
-            + f', "gamma_plus_eps": {format(report.gamma_plus_eps, ".17g")}'
-            + f', "certified": {"true" if ok else "false"}'
-            + "}\n"
-        )
+        fields = {**spec.json_fields(), "m_prime": spec.m_prime}
+        fields.update(record(report, "value analytic_bound gamma_plus_eps"), certified=ok)
+        sys.stdout.write(json_text(fields) + "\n")
     else:
-        sys.stdout.write(f"k               {spec.k}\n")
-        sys.stdout.write(f"n               {spec.n}\n")
-        sys.stdout.write(f"m               {spec.m}\n")
-        sys.stdout.write(f"m_prime         {spec.m_prime}\n")
-        sys.stdout.write(f"mu_star         {spec.mu_star}\n")
-        sys.stdout.write(f"a_star          {_fmt6(spec.a_star)}\n")
-        sys.stdout.write(f"b_star          {_fmt6(spec.b_star)}\n")
-        sys.stdout.write(f"delta           {_fmt6(spec.delta)}\n")
-        sys.stdout.write(f"analytic_bound  {_fmt6(report.analytic_bound)}\n")
-        sys.stdout.write(f"value           {_fmt6(report.value)}\n")
-        sys.stdout.write(f"gamma_plus_eps  {_fmt6(report.gamma_plus_eps)}\n")
+        fields = record(spec, "k n m m_prime mu_star a_star b_star delta")
+        fields.update(record(report, "analytic_bound value gamma_plus_eps"))
         if args.out:
-            sys.stdout.write(f"vector          {args.out}\n")
+            fields["vector"] = args.out
+        _write_text(fields, 14)
     if not ok:
         sys.stderr.write(
             f"witness certification failed: value={report.value!r}, "
@@ -225,7 +197,6 @@ def _cmd_verify(parser, args) -> int:
 def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _read_thread_cap()
     handlers = {
         "bounds": _cmd_bounds,
         "tangent": _cmd_tangent,

@@ -26,9 +26,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._records import json_text, record
 from .errors import CapacityError, DomainError, DegenerateFamilyError, NoBracketError
 from .funcs import lower_bound_theorem2
 from .sums import CyclicVector, as_cyclic_vector, _check_window, _window_sums
+from .tangent import solve_tangent
 
 __all__ = [
     "MinimizeConfig",
@@ -118,19 +120,10 @@ class MinimizationResult:
     gradient_norm: float
 
     def to_json(self) -> str:
-        xs = ", ".join(format(e, ".17g") for e in self.x_best.entries)
-        return (
-            "{"
-            + f'"n": {self.n}, "k": {self.k}, '
-            + f'"value": {format(self.value, ".17g")}, '
-            + f'"certified_floor": {format(self.certified_floor, ".17g")}, '
-            + f'"converged": {"true" if self.converged else "false"}, '
-            + f'"restarts_used": {self.restarts_used}, '
-            + f'"converged_starts": {self.converged_starts}, '
-            + f'"gradient_norm": {format(self.gradient_norm, ".17g")}, '
-            + f'"x_best": [{xs}]'
-            + "}"
+        fields = record(
+            self, "n k value certified_floor converged restarts_used converged_starts gradient_norm"
         )
+        return json_text({**fields, "x_best": list(self.x_best.entries)})
 
 
 def _objective(y: np.ndarray, k: int):
@@ -288,9 +281,7 @@ def _witness_shaped_log_start(n: int, k: int) -> Optional[np.ndarray]:
     if k < 2 or n % k != 0 or n < 2 * k:
         return None
     try:
-        from .witness import _tangent_solution
-
-        sol = _tangent_solution(k)
+        sol = solve_tangent(k)
     except (DegenerateFamilyError, NoBracketError):
         return None
     m = int(round(sol.mu * n / k)) * k

@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._records import csv_table, json_text
 from .errors import (
     AmbiguousBracketError,
     DegenerateFamilyError,
@@ -110,11 +112,19 @@ def solve_tangent(idx, tol: float = 1e-12) -> TangentSolution:
     [-30, -1e-6]; zero raises NoBracketError, several raise
     AmbiguousBracketError.  The bracket is bisected, polished with secant
     steps, and the four tangency residuals are required to stay below tol.
+
+    Solutions are memoized per (float(idx), tol), so 3 and 3.0 share one, and
+    are shared between callers, which the frozen TangentSolution makes safe.
+    A call that raises is not cached.
     """
     k = _check_tangent_family(idx)
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
+    return _solve_tangent(k, float(tol))
 
+
+@lru_cache(maxsize=256)
+def _solve_tangent(k: float, tol: float) -> TangentSolution:
     grid = -np.exp(np.linspace(math.log(-_SCAN_LO), math.log(-_SCAN_HI), _SCAN_POINTS))
     vals = [_comtan_residual(k, float(a)) for a in grid]
     brackets = [
@@ -124,12 +134,12 @@ def solve_tangent(idx, tol: float = 1e-12) -> TangentSolution:
     ]
     if not brackets:
         raise NoBracketError(
-            f"no sign change of the tangency equation for index {idx!r} on "
+            f"no sign change of the tangency equation for index {k!r} on "
             f"[{_SCAN_LO}, {_SCAN_HI}] ({_SCAN_POINTS} scan points)"
         )
     if len(brackets) > 1:
         raise AmbiguousBracketError(
-            f"{len(brackets)} sign changes of the tangency equation for index {idx!r}: "
+            f"{len(brackets)} sign changes of the tangency equation for index {k!r}: "
             f"{brackets}; refusing to pick one"
         )
 
@@ -195,43 +205,18 @@ def gamma_table(k_values: Iterable, tol: float = 1e-12) -> list[TangentSolution]
     return [solve_tangent(k, tol) for k in k_values]
 
 
-def _fmt_k(idx: float) -> str:
-    if math.isinf(idx):
-        return "inf"
-    if float(idx).is_integer():
-        return str(int(idx))
-    return format(idx, ".17g")
+_COLUMNS = "k a b gamma lambda mu"
+
+
+def _solution_fields(r: TangentSolution) -> dict:
+    return dict(zip(_COLUMNS.split(), (r.idx, r.a, r.b, r.gamma, r.lam, r.mu)))
 
 
 def gamma_table_csv(rows: Sequence[TangentSolution]) -> str:
     """CSV serialization, header k,a,b,gamma,lambda,mu; gamma carries 12 significant digits."""
-    lines = ["k,a,b,gamma,lambda,mu"]
-    for r in rows:
-        lines.append(
-            ",".join(
-                (
-                    _fmt_k(r.idx),
-                    format(r.a, ".17g"),
-                    format(r.b, ".17g"),
-                    format(r.gamma, ".12g"),
-                    format(r.lam, ".17g"),
-                    format(r.mu, ".17g"),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return csv_table(_COLUMNS, map(_solution_fields, rows))
 
 
 def gamma_table_json(rows: Sequence[TangentSolution]) -> str:
     """JSON records mirroring the CSV columns."""
-    recs = []
-    for r in rows:
-        k = '"inf"' if math.isinf(r.idx) else _fmt_k(r.idx)
-        recs.append(
-            "{"
-            + f'"k": {k}, "a": {format(r.a, ".17g")}, "b": {format(r.b, ".17g")}, '
-            + f'"gamma": {format(r.gamma, ".12g")}, "lambda": {format(r.lam, ".17g")}, '
-            + f'"mu": {format(r.mu, ".17g")}'
-            + "}"
-        )
-    return "[" + ", ".join(recs) + "]"
+    return json_text([_solution_fields(r) for r in rows])

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from ._records import json_text, record
 from .funcs import (
     INFINITY,
     eval_f,
@@ -67,25 +69,33 @@ class VerificationReport:
 
 
 def report_to_json(report: VerificationReport) -> str:
-    rows = []
-    for g in report.groups:
-        rows.append(
-            "{"
-            + f'"name": "{g.name}", "cases": {g.cases}, "failures": {g.failures}, '
-            + f'"worst": {format(g.worst, ".17g")}, '
-            + f'"passed": {"true" if g.passed else "false"}'
-            + "}"
-        )
-    return (
-        "{"
-        + f'"suite": "{report.suite}", "seed": {report.seed}, '
-        + f'"total_cases": {report.total_cases}, '
-        + f'"failed_groups": {report.failed_groups}, '
-        + f'"passed": {"true" if report.passed else "false"}, '
-        + '"groups": ['
-        + ", ".join(rows)
-        + "]}"
-    )
+    groups = [record(g, "name cases failures worst passed") for g in report.groups]
+    fields = record(report, "suite seed total_cases failed_groups passed")
+    return json_text({**fields, "groups": groups})
+
+
+class _Tally:
+    """Cases and failures of one group, and the worst margin seen.
+
+    pick (min or max) folds each margin into the running worst, which starts
+    at `start`; the running worst is always the first argument, so a NaN
+    margin is kept or dropped exactly as min(worst, v) / max(worst, v) do.
+    """
+
+    def __init__(self, pick, start: float):
+        self.cases = self.failures = 0
+        self.pick = pick
+        self.worst = start
+
+    def check(self, ok, value=None) -> None:
+        self.cases += 1
+        if not ok:
+            self.failures += 1
+        if value is not None:
+            self.worst = self.pick(self.worst, value)
+
+    def result(self, name: str) -> GroupResult:
+        return GroupResult(name, self.cases, self.failures, self.worst)
 
 
 def _sample_indices(rng, count):
@@ -97,32 +107,29 @@ def _sample_indices(rng, count):
 
 def _kernel_shape(rng, scale: int) -> GroupResult:
     """Positivity and monotone decrease of the kernels and of p on [-30, 30]."""
-    cases = failures = 0
-    worst = math.inf
+    tally = _Tally(min, math.inf)
     for k in _sample_indices(rng, 3 * scale):
         xs = np.sort(rng.uniform(-30.0, 30.0, 8))
         vals = [eval_g(k, x) for x in xs]
         for v in vals:
-            cases += 1
-            if not v > 0.0:
-                failures += 1
-            worst = min(worst, v)
+            tally.check(v > 0.0, v)
         for lo, hi in zip(vals, vals[1:]):
-            cases += 1
-            if not hi < lo:
-                failures += 1
-            worst = min(worst, lo - hi)
+            tally.check(hi < lo, lo - hi)
     xs = np.sort(rng.uniform(-30.0, 30.0, 4 * scale))
     pv = [eval_p(x) for x in xs]
     for v in pv:
-        cases += 1
-        if not v > 0.0:
-            failures += 1
+        tally.check(v > 0.0)
     for lo, hi in zip(pv, pv[1:]):
-        cases += 1
-        if not hi < lo:
-            failures += 1
-    return GroupResult("kernel_shape", cases, failures, worst)
+        tally.check(hi < lo)
+    return tally.result("kernel_shape")
+
+
+def _check_midpoint(tally: _Tally, f, x, z) -> None:
+    """f at the midpoint of x and z against the mean of f(x) and f(z)."""
+    fm = f(0.5 * (x + z))
+    avg = 0.5 * (f(x) + f(z))
+    slack = 1e-12 + 1e-13 * (abs(f(x)) + abs(f(z)))
+    tally.check(fm <= avg + slack, fm - avg)
 
 
 def _kernel_convexity(rng, scale: int) -> GroupResult:
@@ -131,47 +138,24 @@ def _kernel_convexity(rng, scale: int) -> GroupResult:
     Slack is 1e-12 plus an ulp-aware term, since kernel values reach 1e13 at
     the left end of the test interval.
     """
-    cases = failures = 0
-    worst = -math.inf
+    tally = _Tally(max, -math.inf)
     for k in _sample_indices(rng, 2 * scale):
         for _ in range(4):
             x, z = rng.uniform(-30.0, 30.0, 2)
-            mid = 0.5 * (x + z)
-            gm = eval_g(k, mid)
-            avg = 0.5 * (eval_g(k, x) + eval_g(k, z))
-            slack = 1e-12 + 1e-13 * (abs(eval_g(k, x)) + abs(eval_g(k, z)))
-            cases += 1
-            if not gm <= avg + slack:
-                failures += 1
-            worst = max(worst, gm - avg)
+            _check_midpoint(tally, partial(eval_g, k), x, z)
     for _ in range(3 * scale):
         x, z = rng.uniform(-30.0, 30.0, 2)
-        mid = 0.5 * (x + z)
-        pm = eval_p(mid)
-        avg = 0.5 * (eval_p(x) + eval_p(z))
-        slack = 1e-12 + 1e-13 * (abs(eval_p(x)) + abs(eval_p(z)))
-        cases += 1
-        if not pm <= avg + slack:
-            failures += 1
-        worst = max(worst, pm - avg)
+        _check_midpoint(tally, eval_p, x, z)
     for _ in range(3 * scale):
         kf = int(rng.integers(1, 9))
         t, u = rng.uniform(-20.0, 20.0, 2)
-        mid = 0.5 * (t + u)
-        fm = eval_f(kf, mid)
-        avg = 0.5 * (eval_f(kf, t) + eval_f(kf, u))
-        slack = 1e-12 + 1e-13 * (abs(eval_f(kf, t)) + abs(eval_f(kf, u)))
-        cases += 1
-        if not fm <= avg + slack:
-            failures += 1
-        worst = max(worst, fm - avg)
-    return GroupResult("kernel_convexity", cases, failures, worst)
+        _check_midpoint(tally, partial(eval_f, kf), t, u)
+    return tally.result("kernel_convexity")
 
 
 def _kernel_growth_in_k(rng, scale: int) -> GroupResult:
     """k(1 - e^{-x/k}), evaluated as eval_g(k,x) * (e^x - 1), grows with k for x != 0."""
-    cases = failures = 0
-    worst = math.inf
+    tally = _Tally(min, math.inf)
     for _ in range(6 * scale):
         k1, k2 = np.sort(np.exp(rng.uniform(math.log(0.2), math.log(500.0), 2)))
         if k2 <= k1:
@@ -182,55 +166,40 @@ def _kernel_growth_in_k(rng, scale: int) -> GroupResult:
         e = math.expm1(x)
         lhs = eval_g(k1, x) * e
         rhs = eval_g(k2, x) * e
-        cases += 1
-        if not lhs < rhs:
-            failures += 1
-        worst = min(worst, rhs - lhs)
-    return GroupResult("kernel_growth_in_k", cases, failures, worst)
+        tally.check(lhs < rhs, rhs - lhs)
+    return tally.result("kernel_growth_in_k")
 
 
 def _kernel_ordering_in_k(rng, scale: int) -> GroupResult:
     """g_{k2}(x) > g_{k1}(x) > e^{-x} for x > 0, k2 > k1 > 1; reversed for x < 0."""
-    cases = failures = 0
-    worst = math.inf
+    tally = _Tally(min, math.inf)
     for _ in range(6 * scale):
         k1, k2 = np.sort(1.0 + np.exp(rng.uniform(math.log(1e-3), math.log(100.0), 2)))
         if k2 <= k1:
             continue
         x = rng.uniform(0.01, 30.0)
         hi, lo, ex = eval_g(k2, x), eval_g(k1, x), math.exp(-x)
-        cases += 1
-        if not (hi > lo > ex):
-            failures += 1
-        worst = min(worst, min(hi - lo, lo - ex))
+        tally.check(hi > lo > ex, min(hi - lo, lo - ex))
         x = rng.uniform(-30.0, -0.01)
         hi, lo, ex = eval_g(k2, x), eval_g(k1, x), math.exp(-x)
-        cases += 1
-        if not (hi < lo < ex):
-            failures += 1
-        worst = min(worst, min(lo - hi, ex - lo))
-    return GroupResult("kernel_ordering_in_k", cases, failures, worst)
+        tally.check(hi < lo < ex, min(lo - hi, ex - lo))
+    return tally.result("kernel_ordering_in_k")
 
 
 def _kernel_limit(rng, scale: int) -> GroupResult:
     """eval_g(1e6, x) approaches the limit kernel within 1e-5 relative on |x| <= 10."""
-    cases = failures = 0
-    worst = 0.0
+    tally = _Tally(max, 0.0)
     xs = rng.uniform(-10.0, 10.0, 4 * scale)
     for x in xs:
         lim = eval_g(INFINITY, x)
         rel = abs(eval_g(1e6, x) - lim) / abs(lim)
-        cases += 1
-        if not rel <= 1e-5:
-            failures += 1
-        worst = max(worst, rel)
-    return GroupResult("kernel_limit", cases, failures, worst)
+        tally.check(rel <= 1e-5, rel)
+    return tally.result("kernel_limit")
 
 
 def _derivative_consistency(rng, scale: int) -> GroupResult:
     """Analytic derivatives match central differences to 1e-6 relative."""
-    cases = failures = 0
-    worst = 0.0
+    tally = _Tally(max, 0.0)
     for k in _sample_indices(rng, 2 * scale):
         for _ in range(3):
             x = rng.uniform(-20.0, 20.0)
@@ -238,13 +207,8 @@ def _derivative_consistency(rng, scale: int) -> GroupResult:
             fd = (eval_g(k, x + h) - eval_g(k, x - h)) / (2.0 * h)
             an = eval_g_derivative(k, x)
             rel = abs(fd - an) / max(abs(an), 1e-30)
-            cases += 1
-            if not rel <= 1e-6:
-                failures += 1
-            worst = max(worst, rel)
-            cases += 1
-            if not an < 0.0:
-                failures += 1
+            tally.check(rel <= 1e-6, rel)
+            tally.check(an < 0.0)
     for _ in range(3 * scale):
         kf = int(rng.integers(1, 9))
         t = rng.uniform(-20.0, 20.0)
@@ -252,20 +216,14 @@ def _derivative_consistency(rng, scale: int) -> GroupResult:
         fd = (eval_f(kf, t + h) - eval_f(kf, t - h)) / (2.0 * h)
         an = eval_f_derivative(kf, t)
         rel = abs(fd - an) / max(abs(an), 1e-30)
-        cases += 1
-        if not rel <= 1e-6:
-            failures += 1
-        worst = max(worst, rel)
-        cases += 1
-        if not an > 0.0:
-            failures += 1
-    return GroupResult("derivative_consistency", cases, failures, worst)
+        tally.check(rel <= 1e-6, rel)
+        tally.check(an > 0.0)
+    return tally.result("derivative_consistency")
 
 
 def _block_diagnostics_group(rng, scale: int) -> GroupResult:
     """Telescoping product, per-block floor, and term accounting on random blocks."""
-    cases = failures = 0
-    worst = 0.0
+    tally = _Tally(max, 0.0)
     for _ in range(2 * scale):
         k = int(rng.integers(1, 9))
         nu = int(rng.integers(1, 17))
@@ -273,30 +231,20 @@ def _block_diagnostics_group(rng, scale: int) -> GroupResult:
         diag = block_diagnostics(x, k)
         prod = float(np.prod(diag.ratios))
         err = abs(prod - 1.0)
-        cases += 1
-        if not err <= 1e-12:
-            failures += 1
-        worst = max(worst, err)
+        tally.check(err <= 1e-12, err)
         for r, s in zip(diag.ratios, diag.partials):
             floor = eval_f(k, math.log(r))
-            cases += 1
-            if not s >= floor - 1e-12:
-                failures += 1
-            worst = max(worst, floor - s)
+            tally.check(s >= floor - 1e-12, floor - s)
         total = float(np.sum(diag.partials))
         ref = diananda_sum(x, k)
         rel = abs(total - ref) / ref
-        cases += 1
-        if not rel <= 1e-12:
-            failures += 1
-        worst = max(worst, rel)
-    return GroupResult("block_diagnostics", cases, failures, worst)
+        tally.check(rel <= 1e-12, rel)
+    return tally.result("block_diagnostics")
 
 
 def _transform_identities(rng, scale: int) -> GroupResult:
     """Replication and zero-insertion preserve the (normalized) cyclic sum."""
-    cases = failures = 0
-    worst = 0.0
+    tally = _Tally(max, 0.0)
     for _ in range(2 * scale):
         k = int(rng.integers(1, 7))
         nu = int(rng.integers(1, 9))
@@ -306,23 +254,16 @@ def _transform_identities(rng, scale: int) -> GroupResult:
         copies = int(rng.integers(2, 5))
         rep = replicate(x, copies)
         rel = abs(diananda_sum(rep, k) / len(rep) - base / n) / (base / n)
-        cases += 1
-        if not rel <= 1e-12:
-            failures += 1
-        worst = max(worst, rel)
+        tally.check(rel <= 1e-12, rel)
         ins = zero_insert(x, k)
         rel = abs(diananda_sum(ins, k + 1) - base) / base
-        cases += 1
-        if not rel <= 1e-12:
-            failures += 1
-        worst = max(worst, rel)
-    return GroupResult("transform_identities", cases, failures, worst)
+        tally.check(rel <= 1e-12, rel)
+    return tally.result("transform_identities")
 
 
 def _invariance(rng, scale: int) -> GroupResult:
     """Degree-zero scaling and rotation invariance of the cyclic sum."""
-    cases = failures = 0
-    worst = 0.0
+    tally = _Tally(max, 0.0)
     for _ in range(2 * scale):
         n = int(rng.integers(2, 40))
         k = int(rng.integers(1, n + 1))
@@ -330,23 +271,16 @@ def _invariance(rng, scale: int) -> GroupResult:
         base = diananda_sum(x, k)
         c = math.exp(rng.uniform(-8.0, 8.0))
         rel = abs(diananda_sum(c * x, k) - base) / base
-        cases += 1
-        if not rel <= 1e-10:
-            failures += 1
-        worst = max(worst, rel)
+        tally.check(rel <= 1e-10, rel)
         shift = int(rng.integers(0, n))
         rel = abs(diananda_sum(np.roll(x, shift), k) - base) / base
-        cases += 1
-        if not rel <= 1e-12:
-            failures += 1
-        worst = max(worst, rel)
-    return GroupResult("invariance", cases, failures, worst)
+        tally.check(rel <= 1e-12, rel)
+    return tally.result("invariance")
 
 
 def _gradient_euler(rng, scale: int) -> GroupResult:
     """Finite-difference agreement of the gradient and the Euler identity."""
-    cases = failures = 0
-    worst = 0.0
+    tally = _Tally(max, 0.0)
     for _ in range(scale):
         n = int(rng.integers(3, 21))
         k = int(rng.integers(1, n + 1))
@@ -361,22 +295,15 @@ def _gradient_euler(rng, scale: int) -> GroupResult:
             xm[m] -= h
             fd = (diananda_sum(xp, k) - diananda_sum(xm, k)) / (2.0 * h)
             err = abs(fd - g[m]) / scale_g
-            cases += 1
-            if not err <= 1e-6:
-                failures += 1
-            worst = max(worst, err)
+            tally.check(err <= 1e-6, err)
         euler = abs(float(np.dot(x, g))) / max(1.0, float(np.sum(np.abs(x * g))))
-        cases += 1
-        if not euler <= 1e-10:
-            failures += 1
-        worst = max(worst, euler)
-    return GroupResult("gradient_euler", cases, failures, worst)
+        tally.check(euler <= 1e-10, euler)
+    return tally.result("gradient_euler")
 
 
 def _floor_sweep(rng, scale: int) -> GroupResult:
     """Every evaluated positive vector respects the k (2^{1/k} - 1) floor."""
-    cases = failures = 0
-    worst = math.inf
+    tally = _Tally(min, math.inf)
     for _ in range(6 * scale):
         n = int(rng.integers(1, 60))
         k = int(rng.integers(1, n + 1))
@@ -384,31 +311,22 @@ def _floor_sweep(rng, scale: int) -> GroupResult:
         val = (k / n) * diananda_sum(x, k)
         floor = lower_bound_theorem2(k)
         margin = val - floor
-        cases += 1
-        if not margin >= -1e-9:
-            failures += 1
-        worst = min(worst, margin)
-    return GroupResult("floor_sweep", cases, failures, worst)
+        tally.check(margin >= -1e-9, margin)
+    return tally.result("floor_sweep")
 
 
 def _bracket_consistency(rng, scale: int) -> GroupResult:
     """Floor below ceiling for every k tested, both strictly decreasing."""
-    cases = failures = 0
-    worst = math.inf
+    tally = _Tally(min, math.inf)
     ks = [2, 3, 4, 5, 6, 7, 8, 10, 16, 32, 100]
     prev_lower = prev_gamma = math.inf
     for k in ks:
         lower = lower_bound_theorem2(k)
         gamma = solve_tangent(k).gamma
-        cases += 1
-        if not (math.log(2.0) < lower < gamma < 1.0):
-            failures += 1
-        worst = min(worst, gamma - lower)
-        cases += 1
-        if not (lower < prev_lower and gamma < prev_gamma):
-            failures += 1
+        tally.check(math.log(2.0) < lower < gamma < 1.0, gamma - lower)
+        tally.check(lower < prev_lower and gamma < prev_gamma)
         prev_lower, prev_gamma = lower, gamma
-    return GroupResult("bracket_consistency", cases, failures, worst)
+    return tally.result("bracket_consistency")
 
 
 _FAST_GROUPS = (

@@ -21,10 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
+from ._records import json_text, record
 from .errors import CapacityError, InvalidSpecError, SolverError
 from .funcs import eval_g
 from .sums import CyclicVector, diananda_sum
@@ -44,11 +44,6 @@ DEFAULT_N_CAP = 10_000_000
 # Largest log-entry the built vector may carry; beyond this exp() leaves
 # float64 range and the vector cannot be materialized at all.
 _MAX_LOG_ENTRY = 700.0
-
-
-@lru_cache(maxsize=64)
-def _tangent_solution(k: int) -> TangentSolution:
-    return solve_tangent(k)
 
 
 @dataclass(frozen=True)
@@ -99,23 +94,19 @@ class WitnessSpec:
             raise InvalidSpecError(
                 f"mu*a + (1-mu)*b = {lin} violates the 1e-12 linear constraint"
             )
-        gamma = _tangent_solution(self.k).gamma
+        gamma = solve_tangent(self.k).gamma
         mix = mu * eval_g(self.k, self.a_star) + (1.0 - mu) * math.exp(-self.b_star)
         if not mix < gamma + self.eps / 2.0:
             raise InvalidSpecError(
                 f"mixed value {mix} is not below gamma + eps/2 = {gamma + self.eps / 2.0}"
             )
 
+    def json_fields(self) -> dict:
+        """The fields of the JSON record, in output order."""
+        return record(self, "k n m a_star b_star eps delta")
+
     def to_json(self) -> str:
-        return (
-            "{"
-            + f'"k": {self.k}, "n": {self.n}, "m": {self.m}, '
-            + f'"a_star": {format(self.a_star, ".17g")}, '
-            + f'"b_star": {format(self.b_star, ".17g")}, '
-            + f'"eps": {format(self.eps, ".17g")}, '
-            + f'"delta": {format(self.delta, ".17g")}'
-            + "}"
-        )
+        return json_text(self.json_fields())
 
 
 @dataclass(frozen=True)
@@ -242,7 +233,6 @@ def witness_value_and_bound(spec: WitnessSpec) -> WitnessReport:
     value is (k/n) times the cyclic sum of the built vector; analytic_bound
     is (1-mu*) exp(-b*) + mu* g_k(a*) + delta/n.
     """
-    spec.validate()
     x = build_witness(spec)
     value = spec.k / spec.n * diananda_sum(x, spec.k)
     mu = float(spec.mu_star)
@@ -251,7 +241,7 @@ def witness_value_and_bound(spec: WitnessSpec) -> WitnessReport:
         + mu * eval_g(spec.k, spec.a_star)
         + spec.delta / spec.n
     )
-    gamma = _tangent_solution(spec.k).gamma
+    gamma = solve_tangent(spec.k).gamma
     return WitnessReport(
         value=value, analytic_bound=analytic, gamma_plus_eps=gamma + spec.eps
     )

@@ -182,13 +182,3 @@ class TestVerifyCommand:
         _, out2, _ = run_cli(capsys, "verify", "--suite", "fast", "--seed", "2")
         r1, r2 = json.loads(out1), json.loads(out2)
         assert r1["passed"] and r2["passed"]
-
-
-class TestEnvironment:
-    def test_thread_cap_parsed(self, capsys, monkeypatch):
-        monkeypatch.setenv("CYCLIC_BOUNDS_THREADS", "4")
-        code, out, _ = run_cli(capsys, "bounds", "--k-max", "3")
-        assert code == 0
-        monkeypatch.setenv("CYCLIC_BOUNDS_THREADS", "not-a-number")
-        code, out, _ = run_cli(capsys, "bounds", "--k-max", "3")
-        assert code == 0

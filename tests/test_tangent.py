@@ -114,6 +114,18 @@ class TestSolveTangent:
         with pytest.raises(DegenerateFamilyError):
             solve_tangent(0.5)
 
+    def test_memoized_solution_is_shared(self):
+        assert solve_tangent(3) is solve_tangent(3.0)
+        assert solve_tangent(3) is solve_tangent(3, tol=1e-12)
+
+    def test_errors_are_not_cached(self):
+        for _ in range(2):
+            with pytest.raises(DegenerateFamilyError):
+                solve_tangent(1)
+        solve_tangent(3)
+        with pytest.raises(ValueError):
+            solve_tangent(3, tol=0)
+
     def test_real_k_between_one_and_two_solves(self):
         sol = solve_tangent(1.5)
         assert sol.gamma > solve_tangent(2).gamma

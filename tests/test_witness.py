@@ -180,6 +180,8 @@ class TestBuildWitness:
         )
         with pytest.raises(InvalidSpecError):
             build_witness(bad)
+        with pytest.raises(InvalidSpecError):
+            witness_value_and_bound(bad)
 
     def test_flipped_abscissas_rejected(self):
         sol = solve_tangent(2)
@@ -197,6 +199,8 @@ class TestBuildWitness:
         )
         with pytest.raises(InvalidSpecError):
             build_witness(bad)
+        with pytest.raises(InvalidSpecError):
+            witness_value_and_bound(bad)
 
 
 class TestPerTermIdentities:
