@@ -19,7 +19,7 @@ from .optimize import MinimizeConfig, minimize
 from .sums import vector_to_lines
 from .tangent import _solution_fields, gamma_table_csv, gamma_table_json, solve_tangent
 from .verification import report_to_json, run_verification
-from .witness import DEFAULT_N_CAP, build_witness, plan_witness, witness_value_and_bound
+from .witness import DEFAULT_N_CAP, _value_and_bound, build_witness, plan_witness
 
 __all__ = ["main", "entry_point"]
 
@@ -151,10 +151,11 @@ def _cmd_witness(parser, args) -> int:
         parser.error(f"--eps must be positive, got {args.eps}")
     sol = solve_tangent(args.k)
     spec = plan_witness(args.k, args.eps, sol, n_cap=args.n_cap)
-    report = witness_value_and_bound(spec)
+    x = build_witness(spec)
+    report = _value_and_bound(spec, x)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(vector_to_lines(build_witness(spec)))
+            fh.write(vector_to_lines(x))
     ok = report.value <= report.analytic_bound < report.gamma_plus_eps
     if args.format == "json":
         fields = {**spec.json_fields(), "m_prime": spec.m_prime}

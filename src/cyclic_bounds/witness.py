@@ -224,7 +224,7 @@ def build_witness(spec: WitnessSpec) -> CyclicVector:
     x[js * k - 1] = np.exp(js * spec.b_star)
     i_dense = np.arange(m_prime, n + 1)
     x[i_dense - 1] = np.exp(spec.a_star * (i_dense - n) / k)
-    return CyclicVector(x)
+    return CyclicVector._adopt(x)
 
 
 def witness_value_and_bound(spec: WitnessSpec) -> WitnessReport:
@@ -233,7 +233,11 @@ def witness_value_and_bound(spec: WitnessSpec) -> WitnessReport:
     value is (k/n) times the cyclic sum of the built vector; analytic_bound
     is (1-mu*) exp(-b*) + mu* g_k(a*) + delta/n.
     """
-    x = build_witness(spec)
+    return _value_and_bound(spec, build_witness(spec))
+
+
+def _value_and_bound(spec: WitnessSpec, x: CyclicVector) -> WitnessReport:
+    """witness_value_and_bound for the vector x already built from spec."""
     value = spec.k / spec.n * diananda_sum(x, spec.k)
     mu = float(spec.mu_star)
     analytic = (

@@ -116,6 +116,24 @@ class TestWitnessCommand:
             float(value_line.split()[1]), rel=1e-5
         )
 
+    def test_out_builds_the_vector_once(self, capsys, tmp_path, monkeypatch):
+        from cyclic_bounds import cli, witness
+
+        calls = []
+
+        def counted(spec, build=witness.build_witness):
+            calls.append(spec)
+            return build(spec)
+
+        monkeypatch.setattr(cli, "build_witness", counted)
+        monkeypatch.setattr(witness, "build_witness", counted)
+        out_path = tmp_path / "witness.txt"
+        code, _, _ = run_cli(
+            capsys, "witness", "--k", "2", "--eps", "0.05", "--out", str(out_path)
+        )
+        assert code == 0
+        assert len(calls) == 1
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "witness", "--k", "2", "--eps", "0.05", "--format", "json"
@@ -182,3 +200,4 @@ class TestVerifyCommand:
         _, out2, _ = run_cli(capsys, "verify", "--suite", "fast", "--seed", "2")
         r1, r2 = json.loads(out1), json.loads(out2)
         assert r1["passed"] and r2["passed"]
+        assert out1 != out2

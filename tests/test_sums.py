@@ -28,6 +28,7 @@ from cyclic_bounds import (
     vector_to_lines,
     zero_insert,
 )
+from cyclic_bounds import sums
 
 
 def oracle_interval(xs, i, k):
@@ -72,6 +73,17 @@ class TestCyclicVector:
         v = CyclicVector([1.0, 2.0])
         with pytest.raises(ValueError):
             v.entries[0] = 9.0
+
+    def test_adopt_checks_and_freezes_without_copying(self):
+        arr = np.array([1.0, 0.0, 2.0])
+        v = CyclicVector._adopt(arr)
+        assert np.shares_memory(v.entries, arr)
+        assert not arr.flags.writeable
+        assert not np.shares_memory(CyclicVector(v.entries).entries, arr)
+        with pytest.raises(DomainError, match="entry 2"):
+            CyclicVector._adopt(np.array([1.0, -1.0]))
+        with pytest.raises(ShapeError):
+            CyclicVector._adopt(np.ones((2, 2)))
 
     def test_window_positivity_check_is_k_dependent(self):
         v = CyclicVector([1.0, 0.0, 1.0, 0.0])
@@ -304,6 +316,100 @@ class TestBlockDiagnostics:
     def test_rejects_indivisible_length(self):
         with pytest.raises(ShapeError):
             block_diagnostics([1.0, 2.0, 3.0], 2)
+
+
+def untiled_window_sums(a, k, shift):
+    """The window sums as one pass over a full-length wrapped copy."""
+    n = a.shape[-1]
+    ext = np.concatenate([a, a[..., : min(k + shift, n)]], axis=-1) if k + shift > 1 else a
+    acc = np.zeros(a.shape)
+    for d in range(k):
+        acc += ext[..., shift + d : shift + d + n]
+    return acc
+
+
+def untiled_terms(a, k, shift, context):
+    denom = untiled_window_sums(a, k, shift)
+    zero = np.nonzero(denom == 0.0)[0]
+    if zero.size:
+        start = (int(zero[0]) + shift) % a.size + 1
+        raise DomainError(f"window sum t[{start},{k}] is zero{context}")
+    return a / denom
+
+
+def untiled_sum(a, k, shift, context):
+    return float(np.sum(untiled_terms(a, k, shift, context)))
+
+
+T = sums._TILE
+TILED_CASES = [
+    (n, k)
+    for k in (1, 2, 3, 10, 100)
+    for n in (1, 2, T - 1, T, T + 1, 2 * T + k, 100003)
+    if k <= n
+]
+
+
+class TestTiledKernel:
+    """The tiled window sums reproduce one untiled pass bit for bit."""
+
+    @pytest.mark.parametrize("n,k", TILED_CASES)
+    def test_window_sums_bitwise(self, n, k):
+        rng = np.random.default_rng([n, k])
+        a = np.exp(rng.uniform(-30.0, 30.0, n))
+        rows = np.exp(rng.uniform(-30.0, 30.0, (3, n)))
+        for shift in (0, 1):
+            for x in (a, rows):
+                got = sums._window_sums(x, k, shift)
+                assert got.tobytes() == untiled_window_sums(x, k, shift).tobytes()
+
+    @pytest.mark.parametrize("n,k", TILED_CASES)
+    def test_sums_bitwise(self, n, k):
+        rng = np.random.default_rng([n, k, 1])
+        a = np.exp(rng.uniform(-30.0, 30.0, n))
+        if n > 4 * k:
+            a[rng.integers(0, n, n // 5)] = 0.0  # zero entries, windows may stay positive
+        try:
+            want = untiled_sum(a, k, 1, " while evaluating the cyclic sum").hex()
+        except DomainError as exc:
+            want = str(exc)
+        try:
+            got = diananda_sum(a, k).hex()
+        except DomainError as exc:
+            got = str(exc)
+        assert got == want
+        b = np.exp(rng.uniform(-30.0, 30.0, n))
+        want = untiled_sum(b, k, 0, " while evaluating the self-including cyclic sum")
+        assert baston_sum(b, k).hex() == want.hex()
+        m = n - n % k
+        partials = block_diagnostics(b[:m], k).partials
+        ref = untiled_terms(b[:m], k, 1, "").reshape(m // k, k).sum(axis=1)
+        assert partials.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 3, 100])
+    @pytest.mark.parametrize("where", ["first tile", "tile boundary", "next tile", "wrapped tail"])
+    def test_zero_window_reported_across_tiles(self, k, where):
+        n = 2 * T + 50
+        p = {"first tile": 5, "tile boundary": T - 1, "next tile": T, "wrapped tail": n - 1}[where]
+        a = np.ones(n)
+        a[(p + np.arange(k)) % n] = 0.0
+        if where != "first tile":
+            a[(p + T // 2 + np.arange(k)) % n] = 0.0  # a later zero window is not the one named
+        for fn, shift, context in (
+            (diananda_sum, 1, " while evaluating the cyclic sum"),
+            (baston_sum, 0, " while evaluating the self-including cyclic sum"),
+        ):
+            with pytest.raises(DomainError) as ref:
+                untiled_terms(a, k, shift, context)
+            with pytest.raises(DomainError) as got:
+                fn(a, k)
+            assert str(got.value) == str(ref.value)
+        context = f"; vector is not admissible for window length {k}"
+        with pytest.raises(DomainError) as ref:
+            untiled_terms(a, k, 0, context)
+        with pytest.raises(DomainError) as got:
+            CyclicVector(a).require_window_positivity(k)
+        assert str(got.value) == str(ref.value)
 
 
 class TestSerialization:
