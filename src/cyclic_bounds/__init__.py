@@ -61,13 +61,6 @@ from .optimize import (
     gradient,
     minimize,
 )
-from .bounds import (
-    BoundsRow,
-    BoarderDaykinReport,
-    LimitIdentityRecord,
-    boarder_daykin_check,
-    bounds_table,
-    limit_identity_demo,
-)
+from .bounds import BoundsRow, bounds_table
 
 __version__ = "0.1.0"

@@ -9,6 +9,7 @@ json modes and 6 in text mode (the tangent intercept gamma keeps 12).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from ._records import cell, json_text, record
@@ -128,7 +129,7 @@ def _cmd_tangent(parser, args) -> int:
             idx = float(args.k)
         except ValueError:
             parser.error(f"--k must be a real number or 'inf', got {args.k!r}")
-        if idx < 2.0:
+        if not idx >= 2.0:
             parser.error(f"--k must be >= 2 or 'inf', got {args.k}")
     tol = _check_tol(parser, args.tol)
     sol = solve_tangent(idx, tol)
@@ -147,8 +148,8 @@ def _cmd_tangent(parser, args) -> int:
 def _cmd_witness(parser, args) -> int:
     if args.k < 2:
         parser.error(f"--k must be an integer >= 2, got {args.k}")
-    if not args.eps > 0.0:
-        parser.error(f"--eps must be positive, got {args.eps}")
+    if not 0.0 < args.eps < math.inf:
+        parser.error(f"--eps must be positive and finite, got {args.eps}")
     sol = solve_tangent(args.k)
     spec = plan_witness(args.k, args.eps, sol, n_cap=args.n_cap)
     x = build_witness(spec)

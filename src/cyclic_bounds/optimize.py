@@ -31,6 +31,7 @@ from .errors import CapacityError, DomainError, DegenerateFamilyError, NoBracket
 from .funcs import lower_bound_theorem2
 from .sums import CyclicVector, as_cyclic_vector, _check_window, _window_sums
 from .tangent import solve_tangent
+from .witness import _log_profile
 
 __all__ = [
     "MinimizeConfig",
@@ -38,7 +39,6 @@ __all__ = [
     "gradient",
     "minimize",
     "grid_oracle",
-    "descend_from",
 ]
 
 _GRID_BUDGET = 10**8
@@ -260,18 +260,6 @@ def _descend(y0: np.ndarray, k: int, max_iters: int, grad_tol: float) -> _Descen
     return _Descent(val[:, 0], y, gnorm, gnorm <= grad_tol, iters)
 
 
-def descend_from(
-    y0: np.ndarray, k: int, max_iters: int = 600, grad_tol: float = 1e-10
-):
-    """L-BFGS descent in log coordinates from the single start y0.
-
-    A one-row call of the batched descent that `minimize` runs on all its
-    starts at once.  Returns (value, x, grad_inf_norm, converged).
-    """
-    d = _descend(np.asarray(y0, dtype=float)[None, :], k, max_iters, grad_tol)
-    return float(d.value[0]), np.exp(d.y[0]), float(d.gradient_norm[0]), bool(d.converged[0])
-
-
 def _witness_shaped_log_start(n: int, k: int) -> Optional[np.ndarray]:
     """Log coordinates of a witness-like profile of length n, zeros floored.
 
@@ -286,13 +274,7 @@ def _witness_shaped_log_start(n: int, k: int) -> Optional[np.ndarray]:
         return None
     m = int(round(sol.mu * n / k)) * k
     m = min(max(m, k), n - k)
-    m_prime = n - m
-    b_star = -sol.a * m / m_prime
-    logx = np.full(n, -np.inf)
-    for j in range(1, m_prime // k):
-        logx[j * k - 1] = j * b_star
-    i_dense = np.arange(m_prime, n + 1)
-    logx[i_dense - 1] = sol.a * (i_dense - n) / k
+    logx = _log_profile(n, k, n - m, sol.a, -sol.a * m / (n - m))
     floor = logx[np.isfinite(logx)].min() - 27.6  # zeros at ~1e-12 of the smallest
     logx = np.where(np.isfinite(logx), logx, floor)
     return np.maximum(logx, logx.max() - _LOG_SPREAD_CAP)  # a start the descent accepts

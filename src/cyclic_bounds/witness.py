@@ -82,8 +82,8 @@ class WitnessSpec:
             raise InvalidSpecError(
                 f"need a_star < 0 < b_star, got {self.a_star}, {self.b_star}"
             )
-        if not self.eps > 0.0:
-            raise InvalidSpecError(f"eps must be positive, got {self.eps}")
+        if not 0.0 < self.eps < math.inf:
+            raise InvalidSpecError(f"eps must be positive and finite, got {self.eps}")
         mu = float(self.mu_star)
         if self.mu_star != Fraction(self.m, self.n):
             raise InvalidSpecError(
@@ -154,8 +154,8 @@ def plan_witness(
     ki = int(k)
     if ki != k or ki < 2:
         raise InvalidSpecError(f"witness needs integer k >= 2, got {k!r}")
-    if not eps > 0.0:
-        raise InvalidSpecError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise InvalidSpecError(f"eps must be positive and finite, got {eps}")
     if not (math.isfinite(sol.idx) and float(sol.idx) == ki):
         raise InvalidSpecError(
             f"tangent solution is for index {sol.idx}, not for k = {ki}"
@@ -209,22 +209,29 @@ def plan_witness(
     )
 
 
+def _log_profile(n: int, k: int, m_prime: int, a: float, b: float) -> np.ndarray:
+    """Log-entries of the witness layout of length n, -inf where an entry is zero.
+
+    Entry i (1-based) has log j b at the sparse indices i = j k < m', is zero
+    elsewhere below m', and has log a (i - n) / k from m' to n.
+    """
+    logx = np.full(n, -np.inf)
+    js = np.arange(1, m_prime // k)
+    logx[js * k - 1] = js * b
+    i_dense = np.arange(m_prime, n + 1)
+    logx[i_dense - 1] = a * (i_dense - n) / k
+    return logx
+
+
 def build_witness(spec: WitnessSpec) -> CyclicVector:
     """Materialize the sparse-geometric vector described by spec.
 
     Log-entries are linear in the index and exponentiated once, so no
-    cumulative multiplication error accrues.  Entry i (1-based) is
-    exp(j b*) at sparse indices i = j k < m', zero elsewhere below m', and
-    exp(a* (i - n) / k) from m' to n.
+    cumulative multiplication error accrues.
     """
     spec.validate()
-    n, k, m_prime = spec.n, spec.k, spec.m_prime
-    x = np.zeros(n)
-    js = np.arange(1, m_prime // k)
-    x[js * k - 1] = np.exp(js * spec.b_star)
-    i_dense = np.arange(m_prime, n + 1)
-    x[i_dense - 1] = np.exp(spec.a_star * (i_dense - n) / k)
-    return CyclicVector._adopt(x)
+    logx = _log_profile(spec.n, spec.k, spec.m_prime, spec.a_star, spec.b_star)
+    return CyclicVector._adopt(np.exp(logx))
 
 
 def witness_value_and_bound(spec: WitnessSpec) -> WitnessReport:

@@ -1,15 +1,11 @@
-"""Tests for the floor/ceiling tables and the consistency reports."""
+"""Tests for the floor/ceiling table and its serializers."""
 
 import json
 import math
 
 import pytest
 
-from cyclic_bounds import (
-    boarder_daykin_check,
-    bounds_table,
-    limit_identity_demo,
-)
+from cyclic_bounds import bounds_table
 from cyclic_bounds.bounds import bounds_table_csv, bounds_table_json
 
 
@@ -66,45 +62,3 @@ class TestBoundsTable:
         assert recs[-1]["k"] == "inf"
         assert recs[-1]["lower"] == pytest.approx(math.log(2), rel=1e-15)
 
-
-class TestBoarderDaykin:
-    def test_inequality_holds(self):
-        rep = boarder_daykin_check()
-        assert rep.holds
-        assert rep.gamma3_over_3 > 0.32598 - 0.5e-5
-
-    def test_ten_digit_report(self):
-        rep = boarder_daykin_check()
-        assert rep.gamma3_over_3_10sig == format(rep.gamma3 / 3.0, ".10g")
-        assert float(rep.gamma3_over_3_10sig) == pytest.approx(
-            rep.gamma3_over_3, rel=1e-9
-        )
-
-    def test_matches_table_row(self):
-        rep = boarder_daykin_check()
-        assert rep.matches_table
-        assert rep.table_value_5dp == pytest.approx(0.97793, abs=1e-12)
-
-
-class TestLimitIdentityDemo:
-    def test_hand_case_k1(self):
-        recs = limit_identity_demo(1, [2], seed=0)
-        assert recs[0].n_small == 2
-        assert recs[0].n_big == 4
-        assert recs[0].insert_rel_error <= 1e-12
-        assert recs[0].replicate_rel_error <= 1e-12
-
-    def test_identities_and_inequality_direction(self):
-        recs = limit_identity_demo(2, [1, 2, 3], seed=4)
-        for rec in recs:
-            assert rec.insert_rel_error <= 1e-12
-            assert rec.replicate_rel_error <= 1e-12
-            assert rec.inequality_ok
-            # minimized value cannot drop below the analytic floors
-            assert rec.min_small >= 0.8284271 - 1e-9
-            assert rec.min_big >= 0.7797631 - 1e-9
-
-    def test_uniform_case_equals_one(self):
-        recs = limit_identity_demo(2, [3], seed=9)
-        assert recs[0].min_small == pytest.approx(1.0, abs=1e-4)
-        assert recs[0].min_big == pytest.approx(1.0, abs=1e-4)

@@ -70,6 +70,12 @@ class TestTangentCommand:
             main(["tangent", "--k", "1"])
         assert exc.value.code == 2
 
+    def test_k_nan_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["tangent", "--k", "nan"])
+        assert exc.value.code == 2
+        assert "--k must be >= 2" in capsys.readouterr().err
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "tangent", "--k", "2", "--format", "json")
         assert code == 0
@@ -91,6 +97,15 @@ class TestWitnessCommand:
         assert code == 0
         value_line = [l for l in out.splitlines() if l.startswith("value")][0]
         assert float(value_line.split()[1]) < 0.97793 + 0.1
+
+    @pytest.mark.parametrize("eps", ["inf", "1e309", "nan", "-inf", "0"])
+    def test_nonfinite_or_nonpositive_eps_is_usage_error(self, capsys, eps):
+        with pytest.raises(SystemExit) as exc:
+            main(["witness", "--k", "2", f"--eps={eps}", "--format", "json"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--eps must be positive and finite" in err
 
     def test_capacity_error_exit_1(self, capsys):
         code, out, err = run_cli(capsys, "witness", "--k", "2", "--eps", "1e-9")

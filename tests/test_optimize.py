@@ -4,6 +4,7 @@ Independent oracles: central finite differences of the direct per-term sum
 for the gradient, and the exhaustive grid itself for the minimizer.
 """
 
+import hashlib
 import json
 import math
 import warnings
@@ -21,7 +22,32 @@ from cyclic_bounds import (
     lower_bound_theorem2,
     minimize,
 )
-from cyclic_bounds.optimize import _descend, descend_from
+from cyclic_bounds.optimize import _descend, _witness_shaped_log_start
+
+# sha256 of _witness_shaped_log_start(n, k).tobytes(): minimize's output bytes
+# depend on every bit of this start; from n = 6000 on it is clipped to the
+# descent's log-spread cap
+START_DIGESTS = [
+    (4, 2, "0c990a7ff7e704f6c2caa1a10113b2de688b067b7ca620f2fe9a348f1564dcf3"),
+    (6, 3, "92241ebf5d77de688160be3b5db0534959e4092561cd0a9ce31bd3dabf50fcc2"),
+    (8, 2, "745fbdf687db2312acdfdbaf80d58f3134fba96d8c3804355c3ced43bd9092be"),
+    (9, 3, "a3edbd1a0b09058737232f88bf84db14c423242a73e3ff67643e6085f289d3f5"),
+    (12, 2, "7de0a0b62cf4490055da0c61ea310afba1a0c2966f6ac313c87d108d69bcaacc"),
+    (12, 3, "0e9c8d6ce96068032a22a2a1086fdf42789883df8954e5e7a8adea442feabd9a"),
+    (12, 4, "a06606b1f365e1e7dd09f036f81ccbf2ed8605aeda3137fbf4d58f0a5fa248ba"),
+    (20, 5, "eb0bf6014b04fc1798c7414f6525c46ee3af4fd9f1eea84b24239d584518fccf"),
+    (30, 6, "ba213b03a6ba5065a24ec18411ed9ec17ff6f8ad9be6519361f3c0236003424e"),
+    (60, 2, "2bc56243050d65d591987383b2a5723e7ea37b94d280c8b9d8491415a7092a3a"),
+    (96, 3, "61a6002b4e76db26b3a60d18f14876337f7d3d6abf9be3f563bb7b93c0b6fe95"),
+    (120, 4, "bd23da02a31d1e84d7115d4db997bd9f0511ae3c837af7b9879da80b3afa5804"),
+    (240, 2, "930bfa6cce1af690284cd11bd3fc574ceee0134db40c06cb0328aeabe471f749"),
+    (1000, 2, "9194515162b1560b84d9690ea1422d7371f7cadf91c0ba69f10319a1a57584e9"),
+    (1026, 3, "76b0e641fec966122768d6edab8287fcffa0c4cd49831a9fa2462e6d6a749a15"),
+    (4096, 2, "e9a2f13b2cef3995af99d5de994c7040c0dfca023650c192bbcdbd7246cd361a"),
+    (6000, 2, "93c3ed531ad4b5e364d3f8a39e20b0237b4c2a75c71bb8425d0076b27981412e"),
+    (12000, 2, "0329fef27183e6bd4812a25f50d7c618c2f8eff6a251cdd3efb497e60d556a80"),
+    (12000, 3, "5fd1a0b09e375b1d939bba507f275a238ca447f43f3d77971723853938a72293"),
+]
 
 
 def _roll_gradient(a, k):
@@ -139,8 +165,8 @@ class TestMinimize:
     def test_shift_equivariance_of_descent(self):
         rng = np.random.default_rng(9)
         y0 = rng.uniform(-2, 2, 8)
-        v1, _, _, _ = descend_from(y0, 2)
-        v2, _, _, _ = descend_from(np.roll(y0, 3), 2)
+        v1 = _descend(y0[None, :], 2, 600, 1e-10).value[0]
+        v2 = _descend(np.roll(y0, 3)[None, :], 2, 600, 1e-10).value[0]
         assert v1 == pytest.approx(v2, abs=1e-8)
 
     def test_batched_rows_descend_as_alone(self):
@@ -149,10 +175,12 @@ class TestMinimize:
             stack = rng.uniform(-3, 3, (5, n))
             batch = _descend(stack, k, 600, 1e-10)
             for r in range(stack.shape[0]):
-                val, x, gnorm, conv = descend_from(stack[r], k)
-                assert abs(batch.value[r] - val) <= 1e-12, (n, k, r)
-                assert np.allclose(np.exp(batch.y[r]), x, rtol=1e-12, atol=0.0), (n, k, r)
-                assert bool(batch.converged[r]) == conv
+                alone = _descend(stack[r : r + 1], k, 600, 1e-10)
+                assert abs(batch.value[r] - alone.value[0]) <= 1e-12, (n, k, r)
+                assert np.allclose(
+                    np.exp(batch.y[r]), np.exp(alone.y[0]), rtol=1e-12, atol=0.0
+                ), (n, k, r)
+                assert batch.converged[r] == alone.converged[0]
 
     def test_uniform_row_stops_at_once(self):
         rng = np.random.default_rng(13)
@@ -162,6 +190,24 @@ class TestMinimize:
         assert d.converged[1] and d.iterations[1] == 0
         assert np.all(d.y[1] == 0.0)
         assert np.all(d.iterations[[0, 2]] > 0)
+
+    @pytest.mark.parametrize(
+        "k, nu, seed", [(1, 2, 0), (2, 1, 4), (2, 2, 4), (2, 3, 4), (2, 3, 9)]
+    )
+    def test_minimum_does_not_rise_from_k_to_k_plus_1(self, k, nu, seed):
+        # zero insertion takes (k nu, k) to ((k+1) nu, k+1) at the same sum, so
+        # the minimized value may not rise beyond the optimizer's tolerance
+        cfg = MinimizeConfig(restarts=6, seed=seed)
+        small = minimize(k * nu, k, cfg).value
+        big = minimize((k + 1) * nu, k + 1, cfg).value
+        assert big <= small + 1e-3
+        assert small >= lower_bound_theorem2(k) - 1e-9
+        assert big >= lower_bound_theorem2(k + 1) - 1e-9
+
+    def test_uniform_minimum_before_and_after_zero_insertion(self):
+        cfg = MinimizeConfig(restarts=6, seed=9)
+        assert minimize(6, 2, cfg).value == pytest.approx(1.0, abs=1e-4)
+        assert minimize(9, 3, cfg).value == pytest.approx(1.0, abs=1e-4)
 
     def test_bad_shape_rejected(self):
         with pytest.raises(DomainError):
@@ -202,6 +248,17 @@ class TestMinimize:
                 res = minimize(n, k, MinimizeConfig(restarts=2, seed=seed))
             assert math.isfinite(res.value) and math.isfinite(res.gradient_norm)
             assert res.value >= lower_bound_theorem2(k)
+
+
+class TestWitnessShapedStart:
+    @pytest.mark.parametrize("n, k, digest", START_DIGESTS)
+    def test_start_bytes_pinned(self, n, k, digest):
+        y = _witness_shaped_log_start(n, k)
+        assert hashlib.sha256(y.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n, k", [(7, 2), (3, 3), (5, 1)])
+    def test_no_start_for_unfit_shapes(self, n, k):
+        assert _witness_shaped_log_start(n, k) is None
 
 
 class TestGridOracle:

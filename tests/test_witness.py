@@ -5,6 +5,8 @@ math.fsum (never the vectorized library path), plus hand evaluation of the
 closed forms from the spec fields.
 """
 
+import dataclasses
+import hashlib
 import math
 from fractions import Fraction
 
@@ -117,6 +119,19 @@ class TestPlanWitness:
         with pytest.raises(InvalidSpecError):
             plan_witness(1, 0.1, sol)
 
+    @pytest.mark.parametrize("eps", [math.inf, math.nan, -math.inf, 0.0, -0.1])
+    def test_eps_must_be_positive_and_finite(self, eps):
+        # an infinite slack would "certify" any vector against gamma + inf
+        with pytest.raises(InvalidSpecError):
+            plan_witness(2, eps, solve_tangent(2))
+
+    def test_spec_with_infinite_eps_rejected(self):
+        spec = dataclasses.replace(plan_witness(2, 0.05, solve_tangent(2)), eps=math.inf)
+        with pytest.raises(InvalidSpecError):
+            spec.validate()
+        with pytest.raises(InvalidSpecError):
+            build_witness(spec)
+
 
 class TestBuildWitness:
     def test_sparse_region_structure(self):
@@ -157,6 +172,29 @@ class TestBuildWitness:
             assert abs(sparse_form - dense_form) <= 1e-10 * dense_form
             arr = build_witness(spec).entries
             assert arr[spec.m_prime - 1] == pytest.approx(dense_form, rel=1e-12)
+
+    # sha256 of build_witness(plan_witness(k, eps)).entries.tobytes(); the
+    # witness stdout and --out bytes depend on every bit of the entries
+    ENTRY_DIGESTS = [
+        (2, 0.1, "93c5f185b5ebe799d7fc44ac4af8ac38352f847bedb52b72d9763284dbfebe72"),
+        (2, 0.03, "491dfbffc67f542e00d85bfe332e47ce8be81078d3d0739ec55f266fc46a4400"),
+        (2, 0.01, "bbda58060e90c899744af7458331779b8d310a072a170666c00a2f5a42a5f709"),
+        (2, 0.001, "19b5f284d5a376595320138738a937b7bb1ffd5ac95aa72b8e9cb710690e5357"),
+        (3, 0.1, "a2ba6a4d87a1a8feb2912117c46835855442dc7c9c5184917f3187e8cfd982d5"),
+        (3, 0.01, "85bd7b598dab13f3505a8b9b90712929ace0da8fbd48eda1dad09ff843c0c264"),
+        (3, 0.001, "7bde1722ec91e1b3394be5504fc68c908d1d9ad5aff8ec3dd940e6e76bb6afe5"),
+        (4, 0.1, "a2fe703eed59e496663cc58a41a24a0d90b2299966c938298a3d9a6b5e5e5364"),
+        (4, 0.01, "7ead78bda904018871202645c668599f124fcb953b03917a3a8c7f94b710e8a3"),
+        (5, 0.03, "3561a5de8f65fdcaea3b012de6c19a86bf0fe6e1816e316ed7bdfed28b398594"),
+        (5, 0.01, "9bac4396cc745113d9be1a327ecc9143606418cd556e59e1f8fbde3f3ebf4f7b"),
+        (6, 0.1, "58ec4b05b63a82b902b3f1a6dbf92a5d4c297774af8105fc6db1f59f0f32e397"),
+        (6, 0.01, "6afede5aa2d720c7d459ebc8a3c519b43ed2a3330dd78e2461152eeb3a304032"),
+    ]
+
+    @pytest.mark.parametrize("k, eps, digest", ENTRY_DIGESTS)
+    def test_entry_bytes_pinned(self, k, eps, digest):
+        x = build_witness(plan_witness(k, eps, solve_tangent(k))).entries
+        assert hashlib.sha256(x.tobytes()).hexdigest() == digest
 
     def test_window_positivity(self):
         for k in (2, 3, 5):
