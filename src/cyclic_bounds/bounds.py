@@ -30,7 +30,7 @@ class BoundsRow:
     gap: float
 
 
-def bounds_table(k_max: int, tol: float = 1e-12) -> list[BoundsRow]:
+def bounds_table(k_max: int) -> list[BoundsRow]:
     """Rows for k = 2..k_max plus the limit row (inf, ln 2, gamma_inf)."""
     k_max = int(k_max)
     if k_max < 2:
@@ -38,10 +38,10 @@ def bounds_table(k_max: int, tol: float = 1e-12) -> list[BoundsRow]:
     rows = []
     for k in range(2, k_max + 1):
         lower = lower_bound_theorem2(k)
-        upper = solve_tangent(k, tol).gamma
+        upper = solve_tangent(k).gamma
         rows.append(BoundsRow(k=float(k), lower=lower, upper=upper, gap=upper - lower))
     lim_lower = math.log(2.0)
-    lim_upper = solve_tangent(INFINITY, tol).gamma
+    lim_upper = solve_tangent(INFINITY).gamma
     rows.append(
         BoundsRow(k=math.inf, lower=lim_lower, upper=lim_upper, gap=lim_upper - lim_lower)
     )

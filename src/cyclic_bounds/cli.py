@@ -1,9 +1,9 @@
 """Command-line surface: bounds, tangent, witness, minimize, verify.
 
-Exit codes: 0 success, 1 computational failure (diagnostic on stderr),
-2 usage error.  All randomness flows from --seed, so identical invocations
-produce identical output.  Floats print with 17 significant digits in csv and
-json modes and 6 in text mode (the tangent intercept gamma keeps 12).
+Exit codes: 0 success, 1 computational or file failure (diagnostic on
+stderr), 2 usage error.  All randomness flows from --seed, so identical
+invocations produce identical output.  Floats print with 17 significant digits
+in csv and json modes and 6 in text mode (the tangent intercept gamma keeps 12).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import sys
 from ._records import cell, json_text, record
 from .bounds import bounds_table, bounds_table_csv, bounds_table_json
 from .errors import CapacityError, CyclicBoundsError
-from .funcs import INFINITY
 from .optimize import MinimizeConfig, minimize
 from .sums import vector_to_lines
 from .tangent import _solution_fields, gamma_table_csv, gamma_table_json, solve_tangent
@@ -23,24 +22,6 @@ from .verification import report_to_json, run_verification
 from .witness import DEFAULT_N_CAP, _value_and_bound, build_witness, plan_witness
 
 __all__ = ["main", "entry_point"]
-
-_MAX_TOL = 1e-3
-
-
-def _tol_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--tol",
-        type=float,
-        default=1e-12,
-        help="residual tolerance, in (0, 1e-3] (default 1e-12)",
-    )
-
-
-def _check_tol(parser: argparse.ArgumentParser, tol: float) -> float:
-    if not (0.0 < tol <= _MAX_TOL):
-        parser.error(f"--tol must lie in (0, {_MAX_TOL}], got {tol}")
-    return tol
-
 
 def _fmt6(v: float) -> str:
     return format(v, ".6g")
@@ -65,14 +46,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument(
         "--format", choices=("text", "csv", "json"), default="text"
     )
-    _tol_flag(p_bounds)
 
     p_tan = sub.add_parser("tangent", help="common-tangent solution for one k")
     p_tan.add_argument(
         "--k", required=True, help="family index: a real >= 2, or the literal 'inf'"
     )
     p_tan.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    _tol_flag(p_tan)
 
     p_wit = sub.add_parser("witness", help="near-optimal witness vector for one k")
     p_wit.add_argument("--k", type=int, required=True, help="integer k >= 2")
@@ -105,8 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_bounds(parser, args) -> int:
     if args.k_max < 2:
         parser.error(f"--k-max must be >= 2, got {args.k_max}")
-    tol = _check_tol(parser, args.tol)
-    rows = bounds_table(args.k_max, tol)
+    rows = bounds_table(args.k_max)
     if args.format == "csv":
         sys.stdout.write(bounds_table_csv(rows))
     elif args.format == "json":
@@ -122,17 +100,13 @@ def _cmd_bounds(parser, args) -> int:
 
 
 def _cmd_tangent(parser, args) -> int:
-    if args.k.strip().lower() == "inf":
-        idx = INFINITY
-    else:
-        try:
-            idx = float(args.k)
-        except ValueError:
-            parser.error(f"--k must be a real number or 'inf', got {args.k!r}")
-        if not idx >= 2.0:
-            parser.error(f"--k must be >= 2 or 'inf', got {args.k}")
-    tol = _check_tol(parser, args.tol)
-    sol = solve_tangent(idx, tol)
+    try:
+        idx = float(args.k)
+    except ValueError:
+        parser.error(f"--k must be a real number or 'inf', got {args.k!r}")
+    if not idx >= 2.0:
+        parser.error(f"--k must be >= 2 or 'inf', got {args.k}")
+    sol = solve_tangent(idx)
     if args.format == "csv":
         sys.stdout.write(gamma_table_csv([sol]))
     elif args.format == "json":
@@ -180,8 +154,10 @@ def _cmd_witness(parser, args) -> int:
 def _cmd_minimize(parser, args) -> int:
     if args.k < 1 or args.n < args.k:
         parser.error(f"need n >= k >= 1, got n={args.n}, k={args.k}")
-    if args.restarts < 0:
-        parser.error(f"--restarts must be >= 0, got {args.restarts}")
+    for flag in ("restarts", "seed", "max_iters"):
+        value = getattr(args, flag)
+        if value < 0:
+            parser.error(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
     cfg = MinimizeConfig(
         restarts=args.restarts, seed=args.seed, max_iters=args.max_iters
     )
@@ -191,6 +167,8 @@ def _cmd_minimize(parser, args) -> int:
 
 
 def _cmd_verify(parser, args) -> int:
+    if args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
     report = run_verification(suite=args.suite, seed=args.seed)
     sys.stdout.write(report_to_json(report) + "\n")
     return 0 if report.passed else 1
@@ -212,7 +190,7 @@ def main(argv: "list[str] | None" = None) -> int:
         needed = f" (needed n = {exc.required_n})" if exc.required_n else ""
         sys.stderr.write(f"capacity error: {exc}{needed}\n")
         return 1
-    except CyclicBoundsError as exc:
+    except (CyclicBoundsError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._records import json_text, record
-from .errors import CapacityError, DomainError, DegenerateFamilyError, NoBracketError
+from .errors import DomainError, DegenerateFamilyError, NoBracketError
 from .funcs import lower_bound_theorem2
 from .sums import CyclicVector, as_cyclic_vector, _check_window, _window_sums
 from .tangent import solve_tangent
@@ -40,8 +40,6 @@ __all__ = [
     "minimize",
     "grid_oracle",
 ]
-
-_GRID_BUDGET = 10**8
 
 _MEMORY = 5  # L-BFGS step pairs kept per row
 _ARMIJO = 1e-4  # sufficient-decrease constant
@@ -321,40 +319,28 @@ def minimize(n: int, k: int, config: MinimizeConfig | None = None) -> Minimizati
 
 
 def _default_levels(n: int) -> np.ndarray:
-    """Geometric grid on [1e-3, 1e3] whose level count fits the budget.
+    """The fixed grid of 39 geometric values on [1e-3, 1e3], for every n <= 5.
 
     The count is odd so the grid contains 1.0 exactly and therefore the
-    uniform vector.
+    uniform vector.  At n = 5 the oracle visits 39^4 points, and even 39^5
+    stays below 1e8, so no n the oracle accepts needs a budget check.
     """
-    count = min(39, int(_GRID_BUDGET ** (1.0 / n)))
-    if count % 2 == 0:
-        count -= 1
-    count = max(count, 3)
-    return np.geomspace(1e-3, 1e3, count)
+    return np.geomspace(1e-3, 1e3, 39)
 
 
-def grid_oracle(
-    n: int, k: int, levels: "Sequence[float] | None" = None
-) -> float:
+def grid_oracle(n: int, k: int) -> float:
     """Exhaustive minimum of (k/n) * diananda_sum over a grid, one coordinate pinned.
 
     Homogeneity lets the first coordinate stay at 1; the remaining n - 1
-    coordinates range over `levels` (default: geometric grid on [1e-3, 1e3]).
-    Only for n <= 5; the combinatorial budget levels**n <= 1e8 is enforced
-    with a CapacityError.
+    coordinates range over the fixed grid of `_default_levels`.  Only for
+    n <= 5, so at most 39^4 points are evaluated.
     """
     n, k = int(n), int(k)
     if n > 5:
         raise DomainError(f"grid oracle is restricted to n <= 5, got n={n}")
     k = _check_window(k, n)
-    lv = _default_levels(n) if levels is None else np.asarray(levels, dtype=float)
-    if lv.ndim != 1 or lv.size < 1 or np.any(lv <= 0.0):
-        raise DomainError("levels must be a 1-d grid of positive values")
+    lv = _default_levels(n)
     count = lv.size
-    if float(count) ** n > _GRID_BUDGET:
-        raise CapacityError(
-            f"{count}^{n} grid evaluations exceed the budget {_GRID_BUDGET:.0e}"
-        )
     if n == 1:
         return float(k / n)  # single entry, sum is n/k by homogeneity
 

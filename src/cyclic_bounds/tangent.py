@@ -81,12 +81,17 @@ class TangentSolution:
         comb = self.mu * self.a + (1.0 - self.mu) * self.b
         if abs(comb) > 1e-12:
             raise SolverError(f"mu*a + (1-mu)*b = {comb} exceeds 1e-12")
-        mix = self.mu * eval_g(self.idx, self.a) + (1.0 - self.mu) * math.exp(-self.b)
+        mix = _mixed_value(self.idx, self.mu, self.a, self.b)
         if abs(mix - self.gamma) > 1e-10:
             raise SolverError(f"mixed tangency value deviates from gamma by {mix - self.gamma}")
         worst = max(self.residuals)
         if worst > tol:
             raise SolverError(f"tangency residual {worst} exceeds tolerance {tol}")
+
+
+def _mixed_value(idx: float, mu: float, a: float, b: float) -> float:
+    """mu g(a) + (1 - mu) e^{-b}: gamma at the tangency, the witness certificate's core."""
+    return mu * eval_g(idx, a) + (1.0 - mu) * math.exp(-b)
 
 
 def _check_tangent_family(idx) -> float:
@@ -200,9 +205,9 @@ def eval_minorant(sol: TangentSolution, x: float) -> float:
     return sol.gamma + sol.lam * x
 
 
-def gamma_table(k_values: Iterable, tol: float = 1e-12) -> list[TangentSolution]:
+def gamma_table(k_values: Iterable) -> list[TangentSolution]:
     """Solve every family index in order; rows follow the input order."""
-    return [solve_tangent(k, tol) for k in k_values]
+    return [solve_tangent(k) for k in k_values]
 
 
 _COLUMNS = "k a b gamma lambda mu"

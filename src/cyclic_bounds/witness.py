@@ -28,7 +28,7 @@ from ._records import json_text, record
 from .errors import CapacityError, InvalidSpecError, SolverError
 from .funcs import eval_g
 from .sums import CyclicVector, diananda_sum
-from .tangent import TangentSolution, solve_tangent
+from .tangent import TangentSolution, _mixed_value, solve_tangent
 
 __all__ = [
     "WitnessSpec",
@@ -95,7 +95,7 @@ class WitnessSpec:
                 f"mu*a + (1-mu)*b = {lin} violates the 1e-12 linear constraint"
             )
         gamma = solve_tangent(self.k).gamma
-        mix = mu * eval_g(self.k, self.a_star) + (1.0 - mu) * math.exp(-self.b_star)
+        mix = _mixed_value(self.k, mu, self.a_star, self.b_star)
         if not mix < gamma + self.eps / 2.0:
             raise InvalidSpecError(
                 f"mixed value {mix} is not below gamma + eps/2 = {gamma + self.eps / 2.0}"
@@ -169,8 +169,7 @@ def plan_witness(
         if p < 1 or q - p < 1:
             continue
         b_star = -a_star * p / (q - p)
-        mu = p / q
-        mid = mu * eval_g(ki, a_star) + (1.0 - mu) * math.exp(-b_star)
+        mid = _mixed_value(ki, p / q, a_star, b_star)
         if not mid < sol.gamma + eps / 2.0:
             continue
         scale = int(2.0 * delta / (eps * ki * q)) + 1
@@ -246,12 +245,8 @@ def witness_value_and_bound(spec: WitnessSpec) -> WitnessReport:
 def _value_and_bound(spec: WitnessSpec, x: CyclicVector) -> WitnessReport:
     """witness_value_and_bound for the vector x already built from spec."""
     value = spec.k / spec.n * diananda_sum(x, spec.k)
-    mu = float(spec.mu_star)
-    analytic = (
-        (1.0 - mu) * math.exp(-spec.b_star)
-        + mu * eval_g(spec.k, spec.a_star)
-        + spec.delta / spec.n
-    )
+    mix = _mixed_value(spec.k, float(spec.mu_star), spec.a_star, spec.b_star)
+    analytic = mix + spec.delta / spec.n
     gamma = solve_tangent(spec.k).gamma
     return WitnessReport(
         value=value, analytic_bound=analytic, gamma_plus_eps=gamma + spec.eps

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cyclic_bounds import MinimizeConfig, minimize
 from cyclic_bounds.cli import main
 
 
@@ -39,10 +40,15 @@ class TestBoundsCommand:
             main(["bounds", "--k-max", "1"])
         assert exc.value.code == 2
 
-    def test_bad_tol_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["bounds", "--k-max", "3", "--tol", "0.5"])
-        assert exc.value.code == 2
+
+@pytest.mark.parametrize(
+    "argv", [["bounds", "--k-max", "3"], ["tangent", "--k", "3"]], ids=["bounds", "tangent"]
+)
+def test_tol_flag_is_gone(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--tol", "1e-12"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 class TestTangentCommand:
@@ -59,7 +65,7 @@ class TestTangentCommand:
         assert abs(float(gamma_line.split()[1]) - 0.930498) < 1e-6
 
     def test_k3_high_precision_digits_visible(self, capsys):
-        code, out, _ = run_cli(capsys, "tangent", "--k", "3", "--tol", "1e-12")
+        code, out, _ = run_cli(capsys, "tangent", "--k", "3")
         assert code == 0
         gamma_line = [l for l in out.splitlines() if l.startswith("gamma")][0]
         # twelve significant digits of the solved intercept
@@ -111,6 +117,24 @@ class TestWitnessCommand:
         code, out, err = run_cli(capsys, "witness", "--k", "2", "--eps", "1e-9")
         assert code == 1
         assert "needed n" in err or "needs n" in err
+
+    def test_n_cap_refusal_exit_1(self, capsys):
+        code, out, err = run_cli(
+            capsys, "witness", "--k", "2", "--eps", "0.01", "--n-cap", "100"
+        )
+        assert code == 1
+        assert out == ""
+        assert "(needed n = 424)" in err
+
+    def test_unwritable_out_is_error_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "w.txt"
+        code, out, err = run_cli(
+            capsys, "witness", "--k", "2", "--eps", "0.01", "--out", str(path)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and str(path) in err
+        assert not path.exists()
 
     def test_vector_streams_to_file(self, capsys, tmp_path):
         out_path = tmp_path / "witness.txt"
@@ -178,6 +202,22 @@ class TestMinimizeCommand:
             main(["minimize", "--n", "2", "--k", "3"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--seed", "--max-iters", "--restarts"])
+    def test_negative_count_is_usage_error(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["minimize", "--n", "4", "--k", "2", flag, "-1"])
+        assert exc.value.code == 2
+        assert f"{flag} must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_max_iters_reaches_the_config(self, capsys):
+        argv = ["minimize", "--n", "14", "--k", "2", "--restarts", "2"]
+        code, out, _ = run_cli(capsys, *argv, "--max-iters", "0")
+        assert code == 0
+        want = minimize(14, 2, MinimizeConfig(restarts=2, seed=0, max_iters=0))
+        assert out == want.to_json() + "\n"
+        # Shapiro's n = 14 dips below 1 only after descending, so the flag shows
+        assert out != run_cli(capsys, *argv)[1]
+
     def test_deterministic(self, capsys):
         _, out1, _ = run_cli(
             capsys, "minimize", "--n", "6", "--k", "2", "--restarts", "4", "--seed", "9"
@@ -209,6 +249,12 @@ class TestVerifyCommand:
         _, out1, _ = run_cli(capsys, "verify", "--suite", "fast", "--seed", "5")
         _, out2, _ = run_cli(capsys, "verify", "--suite", "fast", "--seed", "5")
         assert out1.encode() == out2.encode()
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
 
     def test_different_seed_changes_draws(self, capsys):
         _, out1, _ = run_cli(capsys, "verify", "--suite", "fast", "--seed", "1")

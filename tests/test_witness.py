@@ -109,6 +109,11 @@ class TestPlanWitness:
         assert err.value.required_n is not None
         assert err.value.required_n > 10_000_000
 
+    def test_n_cap_refusal_reports_needed_n(self):
+        with pytest.raises(CapacityError) as err:
+            plan_witness(2, 0.01, solve_tangent(2), n_cap=100)
+        assert err.value.required_n == 424
+
     def test_mismatched_solution_rejected(self):
         sol = solve_tangent(3)
         with pytest.raises(InvalidSpecError):
