@@ -23,6 +23,9 @@ from .witness import DEFAULT_N_CAP, _value_and_bound, build_witness, plan_witnes
 
 __all__ = ["main", "entry_point"]
 
+K_MAX_LIMIT = 10_000  # largest `bounds --k-max`: each k costs a tangent solve of about 1 ms
+
+
 def _fmt6(v: float) -> str:
     return format(v, ".6g")
 
@@ -42,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bounds = sub.add_parser("bounds", help="floor/ceiling table for k = 2..k-max")
-    p_bounds.add_argument("--k-max", type=int, required=True, help="largest k (>= 2)")
+    p_bounds.add_argument("--k-max", type=int, required=True, help=f"largest k (2..{K_MAX_LIMIT})")
     p_bounds.add_argument(
         "--format", choices=("text", "csv", "json"), default="text"
     )
@@ -82,8 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_bounds(parser, args) -> int:
-    if args.k_max < 2:
-        parser.error(f"--k-max must be >= 2, got {args.k_max}")
+    if not 2 <= args.k_max <= K_MAX_LIMIT:
+        parser.error(f"--k-max must be in 2..{K_MAX_LIMIT}, got {args.k_max}")
     rows = bounds_table(args.k_max)
     if args.format == "csv":
         sys.stdout.write(bounds_table_csv(rows))
@@ -124,6 +127,8 @@ def _cmd_witness(parser, args) -> int:
         parser.error(f"--k must be an integer >= 2, got {args.k}")
     if not 0.0 < args.eps < math.inf:
         parser.error(f"--eps must be positive and finite, got {args.eps}")
+    if args.n_cap < 1:
+        parser.error(f"--n-cap must be >= 1, got {args.n_cap}")
     sol = solve_tangent(args.k)
     spec = plan_witness(args.k, args.eps, sol, n_cap=args.n_cap)
     x = build_witness(spec)
@@ -131,10 +136,9 @@ def _cmd_witness(parser, args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(vector_to_lines(x))
-    ok = report.value <= report.analytic_bound < report.gamma_plus_eps
     if args.format == "json":
         fields = {**spec.json_fields(), "m_prime": spec.m_prime}
-        fields.update(record(report, "value analytic_bound gamma_plus_eps"), certified=ok)
+        fields.update(record(report, "value analytic_bound gamma_plus_eps certified"))
         sys.stdout.write(json_text(fields) + "\n")
     else:
         fields = record(spec, "k n m m_prime mu_star a_star b_star delta")
@@ -142,7 +146,7 @@ def _cmd_witness(parser, args) -> int:
         if args.out:
             fields["vector"] = args.out
         _write_text(fields, 14)
-    if not ok:
+    if not report.certified:
         sys.stderr.write(
             f"witness certification failed: value={report.value!r}, "
             f"bound={report.analytic_bound!r}, target={report.gamma_plus_eps!r}\n"

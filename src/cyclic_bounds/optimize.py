@@ -170,6 +170,9 @@ def _descend(y0: np.ndarray, k: int, max_iters: int, grad_tol: float) -> _Descen
     step of its backtracking search decreases the value strictly, or after
     max_iters iterations.  Each step moves every log coordinate by at most
     _STEP_CAP and keeps the spread of y within _LOG_SPREAD_CAP.
+
+    The direction p = -H g is downhill, as every stored pair has rho >= 0 and
+    h0 > 0; should rounding give g.p >= 0, the backtracking filter stops the row.
     """
     y = np.array(y0, dtype=float, ndmin=2)
     if not np.isfinite(y).all():
@@ -202,14 +205,6 @@ def _descend(y0: np.ndarray, k: int, max_iters: int, grad_tol: float) -> _Descen
         for (s, dg, rs, rdg), a in zip(mem, reversed(alphas)):
             p += (a - _dot(rdg, p)) * s
         gp = _dot(ga, p)
-        if not (gp < 0.0).all():  # forget the curvature pairs of uphill rows, fall back to -g
-            up = ~(gp < 0.0)[:, 0]
-            for _, _, rs, rdg in mem:
-                rs[up] = 0.0
-                rdg[up] = 0.0
-            h0[up] = 1.0 / np.abs(ga[up]).max(axis=1, keepdims=True)
-            p[up] = -h0[up] * ga[up]
-            gp[up] = _dot(ga[up], p[up])
 
         # per-row Armijo backtracking that accepts only a strict decrease
         pmax = np.abs(p).max(axis=1, keepdims=True)

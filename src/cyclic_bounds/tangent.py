@@ -17,7 +17,7 @@ of min(exp(-x), g_k(x)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -52,41 +52,52 @@ _LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class TangentSolution:
-    """Solved common-tangent geometry for one family index.
+    """Common-tangent geometry for one family index, fixed by its left abscissa.
 
-    a < 0 < b are the tangency abscissas, lam < 0 the shared slope, gamma the
-    y-intercept, and mu = b / (b - a) the weight making the origin a convex
-    combination of the two abscissas.  residuals holds the four tangency
-    defects |g(a)-(gamma+lam*a)|, |g'(a)-lam|, |e^-b-(gamma+lam*b)|,
-    |-e^-b-lam|.
+    Stored: idx and a < 0.  Derived: the shared slope lam = g'(a) < 0, the
+    right abscissa b = -ln(-lam) > 0, the y-intercept gamma = -lam (1 + b),
+    the weight mu = b / (b - a) making the origin a convex combination of a
+    and b, and residuals, the four tangency defects |g(a)-(gamma+lam*a)|,
+    |g'(a)-lam|, |e^-b-(gamma+lam*b)|, |-e^-b-lam|.  Construction raises
+    SolverError when this geometry fails, as it does for an a off the tangency.
     """
 
     idx: float
     a: float
-    b: float
-    gamma: float
-    lam: float
-    mu: float
-    residuals: tuple[float, float, float, float]
+    b: float = field(init=False)
+    gamma: float = field(init=False)
+    lam: float = field(init=False)
+    mu: float = field(init=False)
+    residuals: tuple[float, float, float, float] = field(init=False)
 
-    def validate(self, tol: float) -> None:
-        if not (self.a < 0.0 < self.b):
-            raise SolverError(f"tangency abscissas out of order: a={self.a}, b={self.b}")
-        if not (_LN2 < self.gamma < 1.0):
-            raise SolverError(f"intercept gamma={self.gamma} outside (ln 2, 1)")
-        if not self.lam < 0.0:
-            raise SolverError(f"tangent slope lam={self.lam} is not negative")
-        if not (0.0 < self.mu < 1.0):
-            raise SolverError(f"mixing weight mu={self.mu} outside (0, 1)")
-        comb = self.mu * self.a + (1.0 - self.mu) * self.b
+    def __post_init__(self) -> None:
+        idx, a = self.idx, self.a
+        lam = eval_g_derivative(idx, a)
+        if not lam < 0.0:
+            raise SolverError(f"tangent slope lam={lam} is not negative")
+        b = -math.log(-lam)
+        if not (a < 0.0 < b):
+            raise SolverError(f"tangency abscissas out of order: a={a}, b={b}")
+        gamma = -lam * (1.0 + b)
+        if not (_LN2 < gamma < 1.0):
+            raise SolverError(f"intercept gamma={gamma} outside (ln 2, 1)")
+        mu = b / (b - a)
+        if not (0.0 < mu < 1.0):
+            raise SolverError(f"mixing weight mu={mu} outside (0, 1)")
+        comb = mu * a + (1.0 - mu) * b
         if abs(comb) > 1e-12:
             raise SolverError(f"mu*a + (1-mu)*b = {comb} exceeds 1e-12")
-        mix = _mixed_value(self.idx, self.mu, self.a, self.b)
-        if abs(mix - self.gamma) > 1e-10:
-            raise SolverError(f"mixed tangency value deviates from gamma by {mix - self.gamma}")
-        worst = max(self.residuals)
-        if worst > tol:
-            raise SolverError(f"tangency residual {worst} exceeds tolerance {tol}")
+        mix = _mixed_value(idx, mu, a, b)
+        if abs(mix - gamma) > 1e-10:
+            raise SolverError(f"mixed tangency value deviates from gamma by {mix - gamma}")
+        residuals = (
+            abs(eval_g(idx, a) - (gamma + lam * a)),
+            abs(eval_g_derivative(idx, a) - lam),
+            abs(math.exp(-b) - (gamma + lam * b)),
+            abs(-math.exp(-b) - lam),
+        )
+        for name, value in dict(b=b, gamma=gamma, lam=lam, mu=mu, residuals=residuals).items():
+            object.__setattr__(self, name, value)
 
 
 def _mixed_value(idx: float, mu: float, a: float, b: float) -> float:
@@ -177,21 +188,9 @@ def _solve_tangent(k: float, tol: float) -> TangentSolution:
         if f2 == 0.0:
             break
 
-    a = best_a
-    lam = eval_g_derivative(k, a)
-    b = -math.log(-lam)
-    gamma = -lam * (1.0 + b)
-    mu = b / (b - a)
-    residuals = (
-        abs(eval_g(k, a) - (gamma + lam * a)),
-        abs(eval_g_derivative(k, a) - lam),
-        abs(math.exp(-b) - (gamma + lam * b)),
-        abs(-math.exp(-b) - lam),
-    )
-    sol = TangentSolution(
-        idx=k, a=a, b=b, gamma=gamma, lam=lam, mu=mu, residuals=residuals
-    )
-    sol.validate(tol)
+    sol = TangentSolution(idx=k, a=best_a)
+    if max(sol.residuals) > tol:
+        raise SolverError(f"tangency residual {max(sol.residuals)} exceeds tolerance {tol}")
     return sol
 
 

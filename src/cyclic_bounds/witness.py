@@ -19,7 +19,7 @@ once n > 2 delta / eps, where delta = k^2 exp(-a*/k) - k g_k(a*).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -48,58 +48,50 @@ _MAX_LOG_ENTRY = 700.0
 
 @dataclass(frozen=True)
 class WitnessSpec:
-    """Discrete plan for one witness vector.
+    """Discrete plan for one witness vector; one that exists is valid.
 
-    mu_star is the exact rational m/n; m and n are both divisible by k and
-    m < n.  delta is recorded for audit: the analytic certificate is
-    (1-mu*) exp(-b*) + mu* g_k(a*) + delta/n.
+    Stored: k, n, m, a_star, eps.  Derived: m_prime = n - m, the exact
+    mu_star = m/n, b_star, delta, analytic_bound (the certificate's middle
+    term) and gamma_plus_eps.  Construction raises InvalidSpecError unless
+    k >= 2, k | m, k | n, 0 < m < n, a_star < 0, 0 < eps < inf and the
+    mid-certificate (1-mu*) exp(-b*) + mu* g_k(a*) < gamma_k + eps/2 holds.
     """
 
     k: int
     n: int
     m: int
-    m_prime: int
     a_star: float
-    b_star: float
-    mu_star: Fraction
     eps: float
-    delta: float
+    m_prime: int = field(init=False)
+    mu_star: Fraction = field(init=False)
+    b_star: float = field(init=False)
+    delta: float = field(init=False)
+    analytic_bound: float = field(init=False)
+    gamma_plus_eps: float = field(init=False)
 
-    def validate(self) -> None:
-        if self.k < 2:
-            raise InvalidSpecError(f"witness needs integer k >= 2, got {self.k}")
-        if self.n <= 0 or self.m <= 0 or self.m >= self.n:
-            raise InvalidSpecError(f"need 0 < m < n, got m={self.m}, n={self.n}")
-        if self.n % self.k != 0 or self.m % self.k != 0:
-            raise InvalidSpecError(
-                f"both m={self.m} and n={self.n} must be divisible by k={self.k}"
-            )
-        if self.m_prime != self.n - self.m:
-            raise InvalidSpecError(
-                f"m_prime={self.m_prime} is not n - m = {self.n - self.m}"
-            )
-        if not (self.a_star < 0.0 < self.b_star):
-            raise InvalidSpecError(
-                f"need a_star < 0 < b_star, got {self.a_star}, {self.b_star}"
-            )
-        if not 0.0 < self.eps < math.inf:
-            raise InvalidSpecError(f"eps must be positive and finite, got {self.eps}")
-        mu = float(self.mu_star)
-        if self.mu_star != Fraction(self.m, self.n):
-            raise InvalidSpecError(
-                f"mu_star={self.mu_star} does not equal m/n = {self.m}/{self.n}"
-            )
-        lin = mu * self.a_star + (1.0 - mu) * self.b_star
-        if abs(lin) > 1e-12:
-            raise InvalidSpecError(
-                f"mu*a + (1-mu)*b = {lin} violates the 1e-12 linear constraint"
-            )
-        gamma = solve_tangent(self.k).gamma
-        mix = _mixed_value(self.k, mu, self.a_star, self.b_star)
-        if not mix < gamma + self.eps / 2.0:
-            raise InvalidSpecError(
-                f"mixed value {mix} is not below gamma + eps/2 = {gamma + self.eps / 2.0}"
-            )
+    def __post_init__(self) -> None:
+        k, n, m, a, eps = self.k, self.n, self.m, self.a_star, self.eps
+        if k < 2:
+            raise InvalidSpecError(f"witness needs integer k >= 2, got {k}")
+        if n <= 0 or m <= 0 or m >= n:
+            raise InvalidSpecError(f"need 0 < m < n, got m={m}, n={n}")
+        if n % k != 0 or m % k != 0:
+            raise InvalidSpecError(f"both m={m} and n={n} must be divisible by k={k}")
+        mu = Fraction(m, n)
+        b = _right_abscissa(a, mu.numerator, mu.denominator)
+        if not (a < 0.0 < b):
+            raise InvalidSpecError(f"need a_star < 0 < b_star, got {a}, {b}")
+        if not 0.0 < eps < math.inf:
+            raise InvalidSpecError(f"eps must be positive and finite, got {eps}")
+        gamma = solve_tangent(k).gamma
+        mix, half = _mixed_value(k, float(mu), a, b), gamma + eps / 2.0
+        if not mix < half:
+            raise InvalidSpecError(f"mixed value {mix} is not below gamma + eps/2 = {half}")
+        delta = _delta(k, a)
+        derived = dict(m_prime=n - m, mu_star=mu, b_star=b, delta=delta,
+                       analytic_bound=mix + delta / n, gamma_plus_eps=gamma + eps)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def json_fields(self) -> dict:
         """The fields of the JSON record, in output order."""
@@ -111,11 +103,25 @@ class WitnessSpec:
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """Computed value of the witness against its analytic certificate."""
+    """Witness value and its certificate; certified: value <= analytic_bound < gamma_plus_eps."""
 
     value: float
     analytic_bound: float
     gamma_plus_eps: float
+
+    @property
+    def certified(self) -> bool:
+        return self.value <= self.analytic_bound < self.gamma_plus_eps
+
+
+def _right_abscissa(a_star: float, p: int, q: int) -> float:
+    """b* = -a* p/(q-p), so mu* a* + (1-mu*) b* = 0 holds for mu* = p/q."""
+    return -a_star * p / (q - p)
+
+
+def _delta(k: int, a_star: float) -> float:
+    """delta = k^2 exp(-a*/k) - k g_k(a*); delta/n bounds what the k tail terms add."""
+    return k * k * math.exp(-a_star / k) - k * eval_g(k, a_star)
 
 
 def _convergents(x: float) -> list[tuple[int, int]]:
@@ -162,15 +168,13 @@ def plan_witness(
         )
 
     a_star = sol.a
-    g_a = eval_g(ki, a_star)
-    delta = ki * ki * math.exp(-a_star / ki) - ki * g_a
+    delta = _delta(ki, a_star)
 
     for p, q in _convergents(sol.mu):
         if p < 1 or q - p < 1:
             continue
-        b_star = -a_star * p / (q - p)
-        mid = _mixed_value(ki, p / q, a_star, b_star)
-        if not mid < sol.gamma + eps / 2.0:
+        b_star = _right_abscissa(a_star, p, q)
+        if not _mixed_value(ki, p / q, a_star, b_star) < sol.gamma + eps / 2.0:
             continue
         scale = int(2.0 * delta / (eps * ki * q)) + 1
         n = ki * q * scale
@@ -188,19 +192,7 @@ def plan_witness(
                 f"exp({(m_prime / ki) * b_star:.1f}), beyond float64 range",
                 required_n=n,
             )
-        spec = WitnessSpec(
-            k=ki,
-            n=n,
-            m=m,
-            m_prime=m_prime,
-            a_star=a_star,
-            b_star=b_star,
-            mu_star=Fraction(m, n),
-            eps=float(eps),
-            delta=delta,
-        )
-        spec.validate()
-        return spec
+        return WitnessSpec(k=ki, n=n, m=m, a_star=a_star, eps=float(eps))
 
     raise SolverError(
         f"no continued-fraction convergent of mu={sol.mu} satisfied the "
@@ -228,7 +220,6 @@ def build_witness(spec: WitnessSpec) -> CyclicVector:
     Log-entries are linear in the index and exponentiated once, so no
     cumulative multiplication error accrues.
     """
-    spec.validate()
     logx = _log_profile(spec.n, spec.k, spec.m_prime, spec.a_star, spec.b_star)
     return CyclicVector._adopt(np.exp(logx))
 
@@ -245,9 +236,4 @@ def witness_value_and_bound(spec: WitnessSpec) -> WitnessReport:
 def _value_and_bound(spec: WitnessSpec, x: CyclicVector) -> WitnessReport:
     """witness_value_and_bound for the vector x already built from spec."""
     value = spec.k / spec.n * diananda_sum(x, spec.k)
-    mix = _mixed_value(spec.k, float(spec.mu_star), spec.a_star, spec.b_star)
-    analytic = mix + spec.delta / spec.n
-    gamma = solve_tangent(spec.k).gamma
-    return WitnessReport(
-        value=value, analytic_bound=analytic, gamma_plus_eps=gamma + spec.eps
-    )
+    return WitnessReport(value, spec.analytic_bound, spec.gamma_plus_eps)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from cyclic_bounds import MinimizeConfig, minimize
-from cyclic_bounds.cli import main
+from cyclic_bounds.cli import K_MAX_LIMIT, main
 
 
 def run_cli(capsys, *argv):
@@ -39,6 +39,22 @@ class TestBoundsCommand:
         with pytest.raises(SystemExit) as exc:
             main(["bounds", "--k-max", "1"])
         assert exc.value.code == 2
+
+    def test_k_max_above_limit_is_usage_error(self, capsys):
+        # one tangent solve per k: --k-max 1e8 would run for about a day
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--k-max", str(K_MAX_LIMIT + 1)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"--k-max must be in 2..{K_MAX_LIMIT}" in err
+
+    def test_help_names_the_k_max_limit(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--help"])
+        assert exc.value.code == 0
+        assert K_MAX_LIMIT == 10_000
+        assert "largest k (2..10000)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -125,6 +141,15 @@ class TestWitnessCommand:
         assert code == 1
         assert out == ""
         assert "(needed n = 424)" in err
+
+    @pytest.mark.parametrize("n_cap", ["0", "-1"])
+    def test_n_cap_below_one_is_usage_error(self, capsys, n_cap):
+        with pytest.raises(SystemExit) as exc:
+            main(["witness", "--k", "2", "--eps", "0.01", f"--n-cap={n_cap}"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"--n-cap must be >= 1, got {n_cap}" in err
 
     def test_unwritable_out_is_error_exit_1(self, capsys, tmp_path):
         path = tmp_path / "missing" / "w.txt"

@@ -4,6 +4,7 @@ Independent oracle: mpmath findroot at 60 digits on the full two-unknown
 tangency system (no elimination), frozen reference values below.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,8 @@ from mpmath import mp, mpf, diff, exp, findroot
 from cyclic_bounds import (
     DegenerateFamilyError,
     INFINITY,
+    SolverError,
+    TangentSolution,
     eval_g,
     eval_minorant,
     gamma_table,
@@ -125,6 +128,16 @@ class TestSolveTangent:
         solve_tangent(3)
         with pytest.raises(ValueError):
             solve_tangent(3, tol=0)
+
+    def test_solution_is_rebuilt_from_its_left_abscissa(self):
+        init = [f.name for f in dataclasses.fields(TangentSolution) if f.init]
+        assert init == ["idx", "a"]
+        assert TangentSolution(3.0, solve_tangent(3).a) == solve_tangent(3)
+
+    @pytest.mark.parametrize("a", [-1.0, -0.3, 0.1])  # a_3 = -0.3307...
+    def test_off_tangency_abscissa_rejected(self, a):
+        with pytest.raises(SolverError):
+            TangentSolution(3.0, a)
 
     def test_real_k_between_one_and_two_solves(self):
         sol = solve_tangent(1.5)

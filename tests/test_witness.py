@@ -22,7 +22,7 @@ from cyclic_bounds import (
     solve_tangent,
     witness_value_and_bound,
 )
-from cyclic_bounds.witness import WitnessSpec, _convergents
+from cyclic_bounds.witness import WitnessReport, WitnessSpec, _convergents
 
 
 def oracle_cyclic_sum(xs, k):
@@ -131,11 +131,36 @@ class TestPlanWitness:
             plan_witness(2, eps, solve_tangent(2))
 
     def test_spec_with_infinite_eps_rejected(self):
-        spec = dataclasses.replace(plan_witness(2, 0.05, solve_tangent(2)), eps=math.inf)
+        spec = plan_witness(2, 0.05, solve_tangent(2))
         with pytest.raises(InvalidSpecError):
-            spec.validate()
-        with pytest.raises(InvalidSpecError):
-            build_witness(spec)
+            dataclasses.replace(spec, eps=math.inf)
+
+    def test_spec_stores_only_its_inputs(self):
+        init = [f.name for f in dataclasses.fields(WitnessSpec) if f.init]
+        assert init == ["k", "n", "m", "a_star", "eps"]
+        spec = plan_witness(3, 0.003, solve_tangent(3))
+        assert WitnessSpec(spec.k, spec.n, spec.m, spec.a_star, spec.eps) == spec
+
+    # (k, eps, n, m, a_star, m_prime, mu_star, b_star, delta, analytic_bound,
+    # gamma_plus_eps), floats as float.hex, captured before the derived
+    # fields moved into the constructor
+    DERIVED = [
+        (2, 0.01, 424, 212, "-0x1.9b42d50469534p-3", 212, "1/2", "0x1.9b42d50469534p-3",
+         "0x1.0cd753c791175p+1", "0x1.fd32817018e08p-1", "0x1.ff8e71989120fp-1"),
+        (3, 0.003, 4230, 1692, "-0x1.529e75c41d964p-2", 2538, "2/5", "0x1.c37df25ad21dbp-3",
+         "0x1.94bbba9ef1f5dp+2", "0x1.f578061355032p-1", "0x1.f63c2b19d1849p-1"),
+        (5, 0.01, 4185, 1395, "-0x1.f2899c096bb8bp-2", 2790, "1/3", "0x1.f2899c096bb8bp-3",
+         "0x1.4ec6b7d9e2b02p+4", "0x1.f08e9c5906fe5p-1", "0x1.f2c5f5f9c58a2p-1"),
+    ]
+
+    @pytest.mark.parametrize("row", DERIVED, ids=lambda row: f"k{row[0]}-eps{row[1]}")
+    def test_derived_fields_pinned(self, row):
+        k, eps, n, m, a_star, m_prime, mu_star, b_star, delta, bound, target = row
+        spec = WitnessSpec(k, n, m, float.fromhex(a_star), eps)
+        assert spec == plan_witness(k, eps, solve_tangent(k))
+        assert (spec.m_prime, spec.mu_star) == (m_prime, Fraction(mu_star))
+        got = (spec.b_star, spec.delta, spec.analytic_bound, spec.gamma_plus_eps)
+        assert [v.hex() for v in got] == [b_star, delta, bound, target]
 
 
 class TestBuildWitness:
@@ -208,42 +233,14 @@ class TestBuildWitness:
             build_witness(spec).require_window_positivity(k)
 
     def test_invalid_spec_rejected(self):
-        sol = solve_tangent(2)
-        good = plan_witness(2, 0.05, sol)
-        bad = WitnessSpec(
-            k=good.k,
-            n=good.n,
-            m=good.m + 1,  # breaks divisibility by k
-            m_prime=good.n - good.m - 1,
-            a_star=good.a_star,
-            b_star=good.b_star,
-            mu_star=Fraction(good.m + 1, good.n),
-            eps=good.eps,
-            delta=good.delta,
-        )
-        with pytest.raises(InvalidSpecError):
-            build_witness(bad)
-        with pytest.raises(InvalidSpecError):
-            witness_value_and_bound(bad)
+        good = plan_witness(2, 0.05, solve_tangent(2))
+        with pytest.raises(InvalidSpecError, match="divisible"):
+            WitnessSpec(good.k, good.n, good.m + 1, good.a_star, good.eps)
 
     def test_flipped_abscissas_rejected(self):
-        sol = solve_tangent(2)
-        good = plan_witness(2, 0.05, sol)
-        bad = WitnessSpec(
-            k=good.k,
-            n=good.n,
-            m=good.m,
-            m_prime=good.m_prime,
-            a_star=-good.a_star,
-            b_star=-good.b_star,
-            mu_star=good.mu_star,
-            eps=good.eps,
-            delta=good.delta,
-        )
-        with pytest.raises(InvalidSpecError):
-            build_witness(bad)
-        with pytest.raises(InvalidSpecError):
-            witness_value_and_bound(bad)
+        good = plan_witness(2, 0.05, solve_tangent(2))
+        with pytest.raises(InvalidSpecError, match="a_star < 0 < b_star"):
+            WitnessSpec(good.k, good.n, good.m, -good.a_star, good.eps)
 
 
 class TestPerTermIdentities:
@@ -296,6 +293,13 @@ class TestValueAndBound:
         assert report.value <= report.analytic_bound
         assert report.analytic_bound < report.gamma_plus_eps
         assert report.gamma_plus_eps == pytest.approx(sol.gamma + eps, rel=1e-14)
+
+    def test_certified_is_the_whole_chain(self):
+        assert witness_value_and_bound(plan_witness(2, 0.05, solve_tangent(2))).certified
+        assert WitnessReport(0.9, 0.9, 0.95).certified
+        assert not WitnessReport(0.91, 0.9, 0.95).certified  # value above its bound
+        assert not WitnessReport(0.9, 0.95, 0.95).certified  # bound not below target
+        assert not WitnessReport(math.nan, 0.9, 0.95).certified
 
     def test_value_matches_direct_summation_oracle(self):
         sol = solve_tangent(2)
