@@ -12,9 +12,11 @@ best value found is an upper bound on the true infimum, never asserted to
 equal it.  A brute-force grid oracle for n <= 5 provides an independent
 cross-check on desk-scale instances.
 
-The descent, `gradient` and the grid oracle share one slice-based kernel:
-window sums (`sums._window_sums`, row-wise) and the gradient's k-fold
-accumulation are slices of an extended copy of each row, never `np.roll`.
+The descent and `gradient` share one slice-based kernel: window sums
+(`sums._window_sums`, row-wise) and the gradient's k-fold accumulation are
+slices of an extended copy of each row, never `np.roll`.  The grid oracle
+broadcasts each term over the grid axes it depends on and adds its window in
+the same order, so its sums are those of `diananda_sum` too.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ def gradient(x: "CyclicVector | Sequence[float]", k: int) -> np.ndarray:
     v = as_cyclic_vector(x)
     k = _check_window(k, v.n)
     a = v.entries
-    if np.any(a == 0.0):
+    if (a == 0.0).any():
         bad = int(np.nonzero(a == 0.0)[0][0])
         raise DomainError(f"entry {bad + 1} is zero; the gradient needs x > 0")
     denom, acc = _window_kernel(a, k)
@@ -329,29 +331,61 @@ def grid_oracle(n: int, k: int) -> float:
     Homogeneity lets the first coordinate stay at 1; the remaining n - 1
     coordinates range over the fixed grid of `_default_levels`.  Only for
     n <= 5, so at most 39^4 points are evaluated.
+
+    Coordinates 1..n-2 each vary along their own broadcast axis and the last
+    one is looped over: one slab of 39^(n-2) <= 59319 points (about 475 KB)
+    per grid value, and no array is larger than one slab.  Term i,
+    x_i / (0.0 + x_{i+1} + ... + x_{i+k}), is built only on the axes it
+    depends on, its denominator added in the order d = 1..k.  What does not
+    involve x_{n-1} (each denominator up to where x_{n-1} enters, and the
+    whole terms i < n-1-k) is computed once; the rest is written into output
+    buffers, one per broadcast shape, that every slab reuses.  The terms are
+    added into the slab over i = 0..n-1 from 0.0, so each point's sum is bit
+    for bit `diananda_sum` at that point.  The factor k/n scales the minimum
+    once: rounding is monotone, so that is the minimum of the scaled sums.
     """
     n, k = int(n), int(k)
     if n > 5:
         raise DomainError(f"grid oracle is restricted to n <= 5, got n={n}")
     k = _check_window(k, n)
     lv = _default_levels(n)
-    count = lv.size
     if n == 1:
         return float(k / n)  # single entry, sum is n/k by homogeneity
 
-    total = count ** (n - 1)
-    powers = count ** np.arange(n - 1)
+    last = n - 1
+    # x[j] varies along axis j - 1 for j = 1..n-2; x[last] is set per slab
+    x = [1.0] + [lv.reshape((-1,) + (1,) * (n - 2 - j)) for j in range(1, last)] + [1.0]
+    bufs: dict = {}  # one output buffer per broadcast shape
+
+    def buffer(*operands) -> np.ndarray:
+        shape = np.broadcast_shapes(*map(np.shape, operands))
+        return bufs.setdefault(shape, np.empty(shape))
+
+    base = 0.0  # sum of the terms i < n - 1 - k, which never involve x_{n-1}
+    terms = []  # (i, denominator head, (j, buffer) per later window entry, quotient buffer)
+    for i in range(n):
+        window = [(i + d) % n for d in range(1, k + 1)]
+        cut = window.index(last) if last in window else k
+        head = 0.0
+        for j in window[:cut]:
+            head = head + x[j]
+        if i < last - k:
+            base = base + x[i] / head
+            continue
+        steps, partial = [], head
+        for j in window[cut:]:
+            partial = buffer(partial, x[j])
+            steps.append((j, partial))
+        terms.append((i, head, steps, buffer(partial, x[i])))
+
+    slab = np.empty((lv.size,) * (n - 2))
     best = math.inf
-    chunk = 1 << 16
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        digits = (idx[:, None] // powers[None, :]) % count
-        block = np.empty((idx.size, n))
-        block[:, 0] = 1.0
-        block[:, 1:] = lv[digits]
-        denom = _window_sums(block, k, 1)
-        vals = (k / n) * np.sum(block / denom, axis=1)
-        m = float(vals.min())
-        if m < best:
-            best = m
-    return best
+    for value in lv:
+        x[last] = value
+        slab[...] = base
+        for i, denom, steps, out in terms:
+            for j, buf in steps:
+                denom = np.add(denom, x[j], out=buf)
+            slab += np.divide(x[i], denom, out=out)
+        best = min(best, float(slab.min()))
+    return (k / n) * best

@@ -67,10 +67,10 @@ class CyclicVector:
             raise ShapeError(f"expected a 1-d sequence, got shape {arr.shape}")
         if arr.size < 1:
             raise ShapeError("vector must have at least one entry")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             bad = int(np.nonzero(~np.isfinite(arr))[0][0])
             raise DomainError(f"entry {bad + 1} is not finite")
-        if np.any(arr < 0):
+        if (arr < 0).any():
             bad = int(np.nonzero(arr < 0)[0][0])
             raise DomainError(f"entry {bad + 1} is negative ({arr[bad]})")
         arr.flags.writeable = False
@@ -235,7 +235,7 @@ def diananda_sum(x: "CyclicVector | Sequence[float]", k: int) -> float:
     """
     v = as_cyclic_vector(x)
     k = _check_window(k, v.n)
-    return float(np.sum(_cyclic_terms(v.entries, k, 1, " while evaluating the cyclic sum")))
+    return float(_cyclic_terms(v.entries, k, 1, " while evaluating the cyclic sum").sum())
 
 
 def baston_sum(x: "CyclicVector | Sequence[float]", k: int) -> float:
@@ -247,7 +247,7 @@ def baston_sum(x: "CyclicVector | Sequence[float]", k: int) -> float:
     v = as_cyclic_vector(x)
     k = _check_window(k, v.n)
     terms = _cyclic_terms(v.entries, k, 0, " while evaluating the self-including cyclic sum")
-    return float(np.sum(terms))
+    return float(terms.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +294,7 @@ def block_diagnostics(x: "CyclicVector | Sequence[float]", k: int) -> BlockDiagn
     if v.n % k != 0:
         raise ShapeError(f"length {v.n} is not divisible by window length {k}")
     a = v.entries
-    if np.any(a == 0.0):
+    if (a == 0.0).any():
         bad = int(np.nonzero(a == 0.0)[0][0])
         raise DomainError(f"entry {bad + 1} is zero; block diagnostics need x > 0")
     nu = v.n // k

@@ -3,7 +3,8 @@
 Each case runs `main` in process and compares the sha256 of its stdout with a
 digest captured before the record writers were merged into one serializer.
 Cases that `perfbench/golden.json` also holds are compared with its bytes as
-well (that file is only read here).  A deliberate change of the output
+well (that file is only read here), and so is the `verify --suite all` report
+of every one of its 16 seeds.  A deliberate change of the output
 contract, or a replaced optimizer for `minimize`, updates these digests.
 """
 
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from cyclic_bounds.cli import main
+from cyclic_bounds.verification import report_to_json, run_verification
 
 GOLDEN = json.loads(
     (Path(__file__).resolve().parent.parent / "perfbench" / "golden.json").read_text()
@@ -84,3 +86,9 @@ def test_stdout_bytes(argv, digest, key, capsys, tmp_path, monkeypatch):
     if "--out" in argv:
         written = (tmp_path / WITNESS_OUT).read_bytes()
         assert _sha256(written) == WITNESS_OUT_SHA == GOLDEN["witness_out_sha256"]
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_verify_report_bytes_every_seed(seed):
+    report = run_verification("all", seed)
+    assert report_to_json(report) + "\n" == GOLDEN["verify"][str(seed)]

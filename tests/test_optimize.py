@@ -21,7 +21,7 @@ from cyclic_bounds import (
     lower_bound_theorem2,
     minimize,
 )
-from cyclic_bounds.optimize import _descend, _witness_shaped_log_start
+from cyclic_bounds.optimize import _default_levels, _descend, _witness_shaped_log_start
 
 # sha256 of _witness_shaped_log_start(n, k).tobytes(): minimize's output bytes
 # depend on every bit of this start; from n = 6000 on it is clipped to the
@@ -260,7 +260,35 @@ class TestWitnessShapedStart:
         assert _witness_shaped_log_start(n, k) is None
 
 
+GRID_PAIRS = [(n, k) for n in range(1, 6) for k in range(1, n + 1)]
+
+
+def _chunked_grid_oracle(n, k):
+    """Reference: decode each grid index into its n - 1 digits, 2^16 points per chunk."""
+    lv = _default_levels(n)
+    count = lv.size
+    if n == 1:
+        return float(k / n)
+    total = count ** (n - 1)
+    powers = count ** np.arange(n - 1)
+    best = math.inf
+    for start in range(0, total, 1 << 16):
+        idx = np.arange(start, min(start + (1 << 16), total))
+        block = np.empty((idx.size, n))
+        block[:, 0] = 1.0
+        block[:, 1:] = lv[(idx[:, None] // powers[None, :]) % count]
+        denom = np.zeros(block.shape)
+        for d in range(1, k + 1):
+            denom += np.roll(block, -d, axis=1)
+        best = min(best, float(((k / n) * np.sum(block / denom, axis=1)).min()))
+    return best
+
+
 class TestGridOracle:
+    @pytest.mark.parametrize("n,k", GRID_PAIRS, ids=[f"n{n}-k{k}" for n, k in GRID_PAIRS])
+    def test_bits_match_chunked_reference(self, n, k):
+        assert grid_oracle(n, k).hex() == _chunked_grid_oracle(n, k).hex()
+
     def test_nesbitt_scale(self):
         # the fixed 39-value geometric grid on [1e-3, 1e3] holds the uniform point
         assert grid_oracle(3, 2) == pytest.approx(1.0, abs=1e-9)

@@ -412,6 +412,23 @@ class TestTiledKernel:
         assert str(got.value) == str(ref.value)
 
 
+class TestRowBatch:
+    """Row-wise window sums give each row's diananda_sum bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_row_sums_bitwise(self, seed):
+        rng = np.random.default_rng([seed, 7])
+        shapes = [(4, 1, 1), (3, 5, 5), (2, 40, 40)]  # n = 1 and k = n
+        for _ in range(40):
+            n = int(rng.integers(1, 300))
+            shapes.append((int(rng.integers(1, 25)), n, int(rng.integers(1, n + 1))))
+        for r_count, n, k in shapes:
+            P = np.exp(rng.uniform(-30.0, 30.0, (r_count, n)))
+            got = (P / sums._window_sums(P, k, 1)).sum(axis=-1)
+            for r in range(r_count):
+                assert got[r].hex() == diananda_sum(P[r], k).hex(), (r_count, n, k, r)
+
+
 class TestSerialization:
     def test_json_round_trip(self):
         xs = [1.0, 0.125, 3.0e-7, 12345.678]
