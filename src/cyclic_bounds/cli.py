@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tan = sub.add_parser("tangent", help="common-tangent solution for one k")
     p_tan.add_argument(
-        "--k", required=True, help="family index: a real >= 2, or the literal 'inf'"
+        "--k", type=float, required=True, help="family index: a real >= 2, or the literal 'inf'"
     )
     p_tan.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
@@ -103,13 +103,9 @@ def _cmd_bounds(parser, args) -> int:
 
 
 def _cmd_tangent(parser, args) -> int:
-    try:
-        idx = float(args.k)
-    except ValueError:
-        parser.error(f"--k must be a real number or 'inf', got {args.k!r}")
-    if not idx >= 2.0:
+    if not args.k >= 2.0:
         parser.error(f"--k must be >= 2 or 'inf', got {args.k}")
-    sol = solve_tangent(idx)
+    sol = solve_tangent(args.k)
     if args.format == "csv":
         sys.stdout.write(gamma_table_csv([sol]))
     elif args.format == "json":

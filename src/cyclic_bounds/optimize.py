@@ -29,11 +29,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._records import json_text, record
-from .errors import DomainError, DegenerateFamilyError, NoBracketError
+from .errors import DomainError
 from .funcs import lower_bound_theorem2
-from .sums import CyclicVector, as_cyclic_vector, _check_window, _window_sums
+from .sums import CyclicVector, as_cyclic_vector, _check_window, _in_float64_range, _window_sums
 from .tangent import solve_tangent
-from .witness import _log_profile
+from .witness import _log_profile, _right_abscissa
 
 __all__ = [
     "MinimizeConfig",
@@ -51,6 +51,8 @@ _STEP_CAP = 2.0  # largest change of any log coordinate in one step
 # gauge sum(y) = 0 every entry then lies in [e^-300, e^300] and x_i / t_i^2 in
 # the gradient stays below e^600, so no value, square or quotient overflows.
 _LOG_SPREAD_CAP = 300.0
+# Gradient inf-norm at which a start counts as converged and stops.
+_GRAD_TOL = 1e-10
 
 
 def _window_kernel(x: np.ndarray, k: int):
@@ -73,6 +75,7 @@ def _window_kernel(x: np.ndarray, k: int):
     return denom, acc
 
 
+@_in_float64_range
 def gradient(x: "CyclicVector | Sequence[float]", k: int) -> np.ndarray:
     """Analytic gradient of diananda_sum at a strictly positive point.
 
@@ -95,7 +98,6 @@ class MinimizeConfig:
     restarts: int = 8
     seed: int = 0
     max_iters: int = 600
-    grad_tol: float = 1e-10
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,7 @@ class MinimizationResult:
     value is an upper bound on the normalized infimum; certified_floor is the
     unconditional k (2^{1/k} - 1) analytic floor.  restarts_used counts the
     starts actually descended (uniform, witness-shaped and random);
-    converged_starts counts those that reached grad_tol; converged and
+    converged_starts counts those that reached _GRAD_TOL; converged and
     gradient_norm describe the winning start.
     """
 
@@ -168,25 +170,22 @@ def _descend(y0: np.ndarray, k: int, max_iters: int, grad_tol: float) -> _Descen
 
     Rows share nothing but the loop: each keeps its own step pairs, step
     length and stopping state, so a row descends as it would alone.  A row
-    stops when its gradient inf-norm reaches grad_tol (converged), when no
-    step of its backtracking search decreases the value strictly, or after
-    max_iters iterations.  Each step moves every log coordinate by at most
-    _STEP_CAP and keeps the spread of y within _LOG_SPREAD_CAP.
+    stops when its gradient inf-norm reaches grad_tol (`minimize` passes
+    _GRAD_TOL; converged), when no step of its backtracking search decreases
+    the value strictly, or after max_iters iterations.  Starts must be finite
+    and spread over at most _LOG_SPREAD_CAP, as those of `minimize` are; each
+    step moves every log coordinate by at most _STEP_CAP and keeps the spread
+    of y within _LOG_SPREAD_CAP.
 
     The direction p = -H g is downhill, as every stored pair has rho >= 0 and
     h0 > 0; should rounding give g.p >= 0, the backtracking filter stops the row.
     """
     y = np.array(y0, dtype=float, ndmin=2)
-    if not np.isfinite(y).all():
-        raise DomainError("a start has a non-finite log coordinate")
     y -= y.mean(axis=1, keepdims=True)
     spread = y.max(axis=1, keepdims=True) - y.min(axis=1, keepdims=True)
-    if np.any(spread > _LOG_SPREAD_CAP):
-        raise DomainError(f"a start spreads over more than {_LOG_SPREAD_CAP} in log coordinates")
     val, g = _objective(y, k)
     iters = np.zeros(y.shape[0], dtype=int)
-    tol = max(grad_tol, 0.0)  # a zero gradient always stops a row
-    live = np.flatnonzero(np.abs(g).max(axis=1) > tol)  # row of y behind each active row
+    live = np.flatnonzero(np.abs(g).max(axis=1) > grad_tol)  # row of y behind each active row
 
     ya, fa, ga, spread = y[live], val[live], g[live], spread[live]
     # the first step moves the largest coordinate by 1
@@ -241,7 +240,7 @@ def _descend(y0: np.ndarray, k: int, max_iters: int, grad_tol: float) -> _Descen
 
         ya, fa, ga = y_new, f_new, g_new
         spread = ya.max(axis=1, keepdims=True) - ya.min(axis=1, keepdims=True)
-        stay = ok & (np.abs(ga).max(axis=1) > tol)
+        stay = ok & (np.abs(ga).max(axis=1) > grad_tol)
         if not stay.all():
             done = live[~stay]
             y[done], val[done], g[done] = ya[~stay], fa[~stay], ga[~stay]
@@ -263,13 +262,10 @@ def _witness_shaped_log_start(n: int, k: int) -> Optional[np.ndarray]:
     """
     if k < 2 or n % k != 0 or n < 2 * k:
         return None
-    try:
-        sol = solve_tangent(k)
-    except (DegenerateFamilyError, NoBracketError):
-        return None
+    sol = solve_tangent(k)
     m = int(round(sol.mu * n / k)) * k
     m = min(max(m, k), n - k)
-    logx = _log_profile(n, k, n - m, sol.a, -sol.a * m / (n - m))
+    logx = _log_profile(n, k, n - m, sol.a, _right_abscissa(sol.a, m, n))
     floor = logx[np.isfinite(logx)].min() - 27.6  # zeros at ~1e-12 of the smallest
     logx = np.where(np.isfinite(logx), logx, floor)
     return np.maximum(logx, logx.max() - _LOG_SPREAD_CAP)  # a start the descent accepts
@@ -297,7 +293,7 @@ def minimize(n: int, k: int, config: MinimizeConfig | None = None) -> Minimizati
     for _ in range(cfg.restarts):
         starts.append(rng.uniform(-3.0, 3.0, n))
 
-    d = _descend(np.stack(starts), k, cfg.max_iters, cfg.grad_tol)
+    d = _descend(np.stack(starts), k, cfg.max_iters, _GRAD_TOL)
     best = 0
     for r in range(1, len(starts)):
         if d.value[r] < d.value[best] - 1e-12:

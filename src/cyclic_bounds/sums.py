@@ -6,18 +6,20 @@ storage is a 0-based numpy array.  Error messages always report 1-based
 indices.
 
 Every operation here is a pure function of immutable inputs and is safe to
-call concurrently.
+call concurrently.  A public sum whose window sums, quotients or total leave
+float64 range raises CapacityError instead of returning inf or a lost term.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, WindowError
+from .errors import CapacityError, DomainError, ShapeError, WindowError
 
 __all__ = [
     "CyclicVector",
@@ -137,6 +139,23 @@ class BlockDiagnostics:
 # window machinery
 # ---------------------------------------------------------------------------
 
+def _in_float64_range(fn):
+    """Make fn raise CapacityError where a sum, product or quotient overflows float64.
+
+    Results of every call that does not overflow are unchanged, bit for bit.
+    """
+
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            with np.errstate(over="raise"):
+                return fn(*args, **kwargs)
+        except FloatingPointError as exc:
+            raise CapacityError(f"{fn.__name__}: a value is beyond float64 range") from exc
+
+    return checked
+
+
 def _check_window(k: int, n: int) -> int:
     k = int(k)
     if k < 1 or k > n:
@@ -211,6 +230,7 @@ def _cyclic_terms(a: np.ndarray, k: int, shift: int, context: str) -> np.ndarray
 # sums
 # ---------------------------------------------------------------------------
 
+@_in_float64_range
 def interval_sum(x: "CyclicVector | Sequence[float]", i: int, k: int) -> float:
     """Sum of k consecutive entries starting at 1-based index i, cyclically.
 
@@ -222,6 +242,7 @@ def interval_sum(x: "CyclicVector | Sequence[float]", i: int, k: int) -> float:
     return float(np.sum(v.entries[idx]))
 
 
+@_in_float64_range
 def diananda_sum(x: "CyclicVector | Sequence[float]", k: int) -> float:
     """Cyclic sum of entry i over the window sum of the k entries that follow it.
 
@@ -238,6 +259,7 @@ def diananda_sum(x: "CyclicVector | Sequence[float]", k: int) -> float:
     return float(_cyclic_terms(v.entries, k, 1, " while evaluating the cyclic sum").sum())
 
 
+@_in_float64_range
 def baston_sum(x: "CyclicVector | Sequence[float]", k: int) -> float:
     """Cyclic sum of entry i over the window sum of the k entries starting at i.
 
@@ -283,6 +305,7 @@ def zero_insert(x: "CyclicVector | Sequence[float]", k: int) -> CyclicVector:
     return CyclicVector._adopt(out.reshape(-1))
 
 
+@_in_float64_range
 def block_diagnostics(x: "CyclicVector | Sequence[float]", k: int) -> BlockDiagnostics:
     """Ratios of consecutive block window sums and per-block partial sums.
 

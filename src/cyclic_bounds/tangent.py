@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from ._records import csv_table, json_text
 from .errors import (
     AmbiguousBracketError,
@@ -46,6 +44,10 @@ __all__ = [
 _SCAN_LO = -30.0
 _SCAN_HI = -1e-6
 _SCAN_POINTS = 240
+# Log-spaced the way np.linspace spaces points: log of point i is lo + i*step, the last is hi.
+_STEP = (math.log(-_SCAN_HI) - math.log(-_SCAN_LO)) / (_SCAN_POINTS - 1)
+_LOGS = [math.log(-_SCAN_LO) + i * _STEP for i in range(_SCAN_POINTS - 1)] + [math.log(-_SCAN_HI)]
+_SCAN_GRID = tuple(-math.exp(t) for t in _LOGS)
 
 _LN2 = math.log(2.0)
 
@@ -82,11 +84,6 @@ class TangentSolution:
         if not (_LN2 < gamma < 1.0):
             raise SolverError(f"intercept gamma={gamma} outside (ln 2, 1)")
         mu = b / (b - a)
-        if not (0.0 < mu < 1.0):
-            raise SolverError(f"mixing weight mu={mu} outside (0, 1)")
-        comb = mu * a + (1.0 - mu) * b
-        if abs(comb) > 1e-12:
-            raise SolverError(f"mu*a + (1-mu)*b = {comb} exceeds 1e-12")
         mix = _mixed_value(idx, mu, a, b)
         if abs(mix - gamma) > 1e-10:
             raise SolverError(f"mixed tangency value deviates from gamma by {mix - gamma}")
@@ -141,13 +138,9 @@ def solve_tangent(idx, tol: float = 1e-12) -> TangentSolution:
 
 @lru_cache(maxsize=256)
 def _solve_tangent(k: float, tol: float) -> TangentSolution:
-    grid = -np.exp(np.linspace(math.log(-_SCAN_LO), math.log(-_SCAN_HI), _SCAN_POINTS))
-    vals = [_comtan_residual(k, float(a)) for a in grid]
-    brackets = [
-        (float(grid[i]), float(grid[i + 1]))
-        for i in range(_SCAN_POINTS - 1)
-        if (vals[i] > 0.0) != (vals[i + 1] > 0.0)
-    ]
+    grid = _SCAN_GRID
+    up = [_comtan_residual(k, a) > 0.0 for a in grid]
+    brackets = [(grid[i], grid[i + 1]) for i in range(_SCAN_POINTS - 1) if up[i] != up[i + 1]]
     if not brackets:
         raise NoBracketError(
             f"no sign change of the tangency equation for index {k!r} on "

@@ -92,6 +92,12 @@ class TestTangentCommand:
             main(["tangent", "--k", "1"])
         assert exc.value.code == 2
 
+    def test_non_numeric_k_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["tangent", "--k", "abc"])
+        assert exc.value.code == 2
+        assert "invalid float value: 'abc'" in capsys.readouterr().err
+
     def test_k_nan_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["tangent", "--k", "nan"])
@@ -119,6 +125,12 @@ class TestWitnessCommand:
         assert code == 0
         value_line = [l for l in out.splitlines() if l.startswith("value")][0]
         assert float(value_line.split()[1]) < 0.97793 + 0.1
+
+    def test_k_one_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["witness", "--k", "1", "--eps", "0.01"])
+        assert exc.value.code == 2
+        assert "--k must be an integer >= 2, got 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("eps", ["inf", "1e309", "nan", "-inf", "0"])
     def test_nonfinite_or_nonpositive_eps_is_usage_error(self, capsys, eps):

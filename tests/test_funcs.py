@@ -20,6 +20,7 @@ from cyclic_bounds import (
     lower_bound_theorem2,
     reference_lower_bounds,
 )
+from cyclic_bounds import funcs
 
 mp.dps = 50
 
@@ -238,9 +239,41 @@ class TestReferenceLowerBounds:
         assert rec.diananda1961 is None
         assert rec.best == rec.theorem2
 
+    def test_rejects_n_below_k(self):
+        with pytest.raises(ValueError, match="need n >= k"):
+            reference_lower_bounds(2, 3)
+
     def test_crude_floor_recorded(self):
         rec = reference_lower_bounds(30, 4)
         assert rec.diananda1962 == pytest.approx(0.25, rel=1e-15)
+
+
+class TestLogSpaceBranches:
+    """Arguments beyond +-700, where the kernels switch to log-space arithmetic."""
+
+    @staticmethod
+    def close(got, want):
+        assert got == pytest.approx(float(want), rel=1e-12)
+
+    @pytest.mark.parametrize("x", [701.0, 704.5, 708.0])
+    def test_limit_kernel_and_its_derivative(self, x):
+        with mp.workdps(40):
+            e = mp.exp(mpf(x))
+            self.close(eval_g(INFINITY, x), x / (e - 1))
+            self.close(funcs._g_inf_prime(x), (e - 1 - x * e) / (e - 1) ** 2)
+
+    @pytest.mark.parametrize("x", [-701.0, -704.5, -708.0])
+    def test_p_and_its_derivative(self, x):
+        with mp.workdps(40):
+            e = mp.exp(-mpf(x))
+            self.close(eval_p(x), (1 - e) / x)
+            self.close(funcs._p_prime(x), ((1 + x) * e - 1) / mpf(x) ** 2)
+
+    def test_block_bound_overflows_to_inf(self):
+        # true values e^800 and e^750 lie beyond float64 range
+        assert eval_f(1, 800.0) == math.inf
+        assert eval_f(2, 1500.0) == math.inf
+        assert eval_f_derivative(1, 800.0) == math.inf
 
 
 class TestFamilyMonotonicity:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclic_bounds import (
+    CapacityError,
     CyclicVector,
     DomainError,
     ShapeError,
@@ -84,6 +85,14 @@ class TestCyclicVector:
             CyclicVector._adopt(np.array([1.0, -1.0]))
         with pytest.raises(ShapeError):
             CyclicVector._adopt(np.ones((2, 2)))
+
+    def test_iterates_as_python_floats(self):
+        items = list(CyclicVector([1, 2.5]))
+        assert items == [1.0, 2.5] and all(type(v) is float for v in items)
+
+    def test_repr_shows_at_most_six_entries(self):
+        assert repr(CyclicVector([1.0, 0.5])) == "CyclicVector([1, 0.5], n=2)"
+        assert repr(CyclicVector(range(1, 8))) == "CyclicVector([1, 2, 3, 4, 5, 6, ...], n=7)"
 
     def test_window_positivity_check_is_k_dependent(self):
         v = CyclicVector([1.0, 0.0, 1.0, 0.0])
@@ -429,12 +438,43 @@ class TestRowBatch:
                 assert got[r].hex() == diananda_sum(P[r], k).hex(), (r_count, n, k, r)
 
 
+class TestFloat64Range:
+    """An overflow raises CapacityError instead of leaking a warning and a wrong value."""
+
+    def test_interval_sum(self):
+        with pytest.raises(CapacityError, match="float64 range"):
+            interval_sum([1e308, 1e308], 1, 2)  # was inf
+        assert interval_sum([1e308, 7e307], 1, 2) == 1e308 + 7e307
+
+    def test_diananda_sum(self):
+        with pytest.raises(CapacityError, match="float64 range"):
+            diananda_sum([1e308] * 3, 2)  # was 0.0, below the floor
+        with pytest.raises(CapacityError, match="float64 range"):
+            diananda_sum([1e300, 1e-300], 1)  # was inf
+        assert diananda_sum([1e307] * 3, 2) == 1.5
+
+    def test_baston_sum(self):
+        with pytest.raises(CapacityError, match="float64 range"):
+            baston_sum([1e308] * 3, 3)  # was 0.0, the true value is 1
+        assert baston_sum([5e307] * 3, 3) == 1.0
+
+    def test_block_diagnostics(self):
+        with pytest.raises(CapacityError, match="float64 range"):
+            block_diagnostics([1e308, 1e308, 1.0, 1.0], 2)  # ratios were [inf, 0]
+        diag = block_diagnostics([5e307, 5e307, 1.0, 1.0], 2)
+        assert diag.ratios.tolist() == [1e308 / 2.0, 2.0 / 1e308]
+
+
 class TestSerialization:
     def test_json_round_trip(self):
         xs = [1.0, 0.125, 3.0e-7, 12345.678]
         text = vector_to_json(xs)
         back = vector_from_json(text)
         assert np.array_equal(back.entries, xs)
+
+    def test_json_rejects_non_array(self):
+        with pytest.raises(ShapeError, match="JSON array"):
+            vector_from_json('{"x": [1.0]}')
 
     def test_json_17_digits(self):
         text = vector_to_json([1.0 / 3.0])

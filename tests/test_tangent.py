@@ -5,6 +5,7 @@ tangency system (no elimination), frozen reference values below.
 """
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -37,6 +38,12 @@ ORACLE_GAMMA = {
     1000: "0.93072369798790156696",
     "inf": "0.93049806171925462913",
 }
+
+# sha256 over float.hex of idx, a, b, gamma, lam, mu and the four residuals of
+# solve_tangent(k) for every k in TANGENT_BITS_KS, in order: the scan grid, the
+# bracket and every polish step must reproduce these bits
+TANGENT_BITS_KS = (1.5, *range(2, 41), 1e3, 1e8, 1e308, INFINITY)
+TANGENT_BITS_DIGEST = "85f582b286df9f4acf430fd5275db77430b2d5e1d9fe8bb5af65d251882ad2cb"
 
 
 def mp_g(k, x):
@@ -134,14 +141,31 @@ class TestSolveTangent:
         assert init == ["idx", "a"]
         assert TangentSolution(3.0, solve_tangent(3).a) == solve_tangent(3)
 
-    @pytest.mark.parametrize("a", [-1.0, -0.3, 0.1])  # a_3 = -0.3307...
-    def test_off_tangency_abscissa_rejected(self, a):
-        with pytest.raises(SolverError):
+    @pytest.mark.parametrize(
+        "a, reason",  # a_3 = -0.3307...; each check of the construction fires once
+        [
+            pytest.param(-1.0, "out of order", id="-1.0"),  # b < 0
+            pytest.param(-0.3, "mixed tangency value", id="-0.3"),
+            pytest.param(0.1, "out of order", id="0.1"),  # a > 0
+            pytest.param(1000.0, "slope", id="1000.0"),  # g'(a) underflows to -0.0
+            pytest.param(-0.774867964691, "intercept", id="-0.774867964691"),  # gamma rounds to 1
+        ],
+    )
+    def test_off_tangency_abscissa_rejected(self, a, reason):
+        with pytest.raises(SolverError, match=reason):
             TangentSolution(3.0, a)
 
     def test_real_k_between_one_and_two_solves(self):
         sol = solve_tangent(1.5)
         assert sol.gamma > solve_tangent(2).gamma
+
+    def test_solution_bits_pinned(self):
+        h = hashlib.sha256()
+        for k in TANGENT_BITS_KS:
+            s = solve_tangent(k)
+            for v in (s.idx, s.a, s.b, s.gamma, s.lam, s.mu, *s.residuals):
+                h.update(v.hex().encode())
+        assert h.hexdigest() == TANGENT_BITS_DIGEST
 
     def test_floor_sits_below_ceiling(self):
         for k in range(2, 30):
