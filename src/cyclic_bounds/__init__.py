@@ -22,14 +22,12 @@ from .errors import (
 )
 from .funcs import (
     INFINITY,
-    ReferenceLowerBounds,
     eval_f,
     eval_f_derivative,
     eval_g,
     eval_g_derivative,
     eval_p,
     lower_bound_theorem2,
-    reference_lower_bounds,
 )
 from .sums import (
     BlockDiagnostics,
@@ -38,15 +36,11 @@ from .sums import (
     baston_sum,
     block_diagnostics,
     diananda_sum,
-    interval_sum,
     replicate,
-    vector_from_json,
-    vector_from_lines,
-    vector_to_json,
     vector_to_lines,
     zero_insert,
 )
-from .tangent import TangentSolution, eval_minorant, gamma_table, solve_tangent
+from .tangent import TangentSolution, solve_tangent
 from .witness import (
     WitnessReport,
     WitnessSpec,

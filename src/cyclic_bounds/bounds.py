@@ -4,7 +4,7 @@ Each row brackets the large-n infimum constant for one k between the
 closed-form floor k (2^{1/k} - 1) and the common-tangent ceiling gamma_k.
 The limit row pairs ln 2 (the k -> infinity limit of the floors) with the
 limit-family ceiling; the bracket for the overall constant is
-ln 2 <= C <= 0.930498.
+ln 2 <= C <= gamma_inf = 0.93049806... < 0.9305.
 """
 
 from __future__ import annotations

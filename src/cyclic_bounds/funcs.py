@@ -18,8 +18,6 @@ log-space arithmetic instead of overflowing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 __all__ = [
     "INFINITY",
@@ -29,8 +27,6 @@ __all__ = [
     "eval_f",
     "eval_f_derivative",
     "lower_bound_theorem2",
-    "reference_lower_bounds",
-    "ReferenceLowerBounds",
 ]
 
 INFINITY = math.inf
@@ -62,6 +58,8 @@ def _check_order(k) -> int:
 def _g_inf(x: float) -> float:
     if x == 0.0:
         return 1.0
+    if x == math.inf:
+        return 0.0
     if x > _EXP_MAX:
         # x / (e^x - 1) in log space; underflows gracefully to 0
         log_g = math.log(x) - x - math.log1p(-math.exp(-x))
@@ -104,6 +102,8 @@ def eval_p(x: float) -> float:
     x = float(x)
     if x == 0.0:
         return 1.0
+    if x == -math.inf:
+        return math.inf
     if -x > _EXP_MAX:
         y = -x
         log_p = y + math.log1p(-math.exp(-y)) - math.log(y)
@@ -167,6 +167,9 @@ def eval_g_derivative(idx, x: float) -> float:
     """
     k = _check_family(idx)
     x = float(x)
+    if math.isinf(x):
+        # limits: flat at +inf; slope of k e^{-x/k} (-inf) or of -x (-1) at -inf
+        return 0.0 if x > 0.0 else (-1.0 if math.isinf(k) else -math.inf)
     if math.isinf(k):
         return _g_inf_prime(x)
     u = x / k
@@ -199,7 +202,7 @@ def eval_f_derivative(k, t: float) -> float:
     t = float(t)
     sp = _softplus(t)
     arg = sp / ki + t - sp
-    if arg > _EXP_MAX:
+    if t == math.inf or arg > _EXP_MAX:
         return math.inf
     return math.exp(arg)
 
@@ -212,31 +215,3 @@ def lower_bound_theorem2(k) -> float:
     ki = _check_order(k)
     return ki * math.expm1(math.log(2.0) / ki)
 
-
-@dataclass(frozen=True)
-class ReferenceLowerBounds:
-    """Closed-form floors for the normalized cyclic sum at concrete (n, k).
-
-    diananda1961 (2(k+1)/n) only applies when n > 2(k+1) and is None
-    otherwise; diananda1962 is the crude 1/k floor.  best is the max of the
-    applicable floors.
-    """
-
-    theorem2: float
-    diananda1961: Optional[float]
-    diananda1962: float
-    best: float
-
-
-def reference_lower_bounds(n, k) -> ReferenceLowerBounds:
-    ki = _check_order(k)
-    ni = int(n)
-    if ni < ki:
-        raise ValueError(f"need n >= k, got n={ni}, k={ki}")
-    floor2 = lower_bound_theorem2(ki)
-    d61 = 2.0 * (ki + 1) / ni if ni > 2 * (ki + 1) else None
-    d62 = 1.0 / ki
-    best = max(v for v in (floor2, d61, d62) if v is not None)
-    return ReferenceLowerBounds(
-        theorem2=floor2, diananda1961=d61, diananda1962=d62, best=best
-    )

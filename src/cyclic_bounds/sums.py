@@ -1,4 +1,4 @@
-"""Cyclic interval sums, Diananda/Baston cyclic sums, and structure-preserving transforms.
+"""Diananda/Baston cyclic sums, block diagnostics, and structure-preserving transforms.
 
 All quantities live on nonnegative vectors with cyclic indexing.  The public
 index convention is 1-based (entry(1)..entry(n), wrapping modulo n); internal
@@ -13,7 +13,6 @@ float64 range raises CapacityError instead of returning inf or a lost term.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -25,16 +24,12 @@ __all__ = [
     "CyclicVector",
     "BlockDiagnostics",
     "as_cyclic_vector",
-    "interval_sum",
     "diananda_sum",
     "baston_sum",
     "replicate",
     "zero_insert",
     "block_diagnostics",
-    "vector_to_json",
-    "vector_from_json",
     "vector_to_lines",
-    "vector_from_lines",
 ]
 
 
@@ -96,13 +91,6 @@ class CyclicVector:
     def entry(self, i: int) -> float:
         """Entry x_i under 1-based cyclic indexing, so entry(n + i) == entry(i)."""
         return float(self._entries[(i - 1) % self.n])
-
-    def require_window_positivity(self, k: int) -> None:
-        """Raise DomainError unless every cyclic window sum of length k is positive."""
-        k = _check_window(k, self.n)
-        _cyclic_terms(
-            self._entries, k, 0, f"; vector is not admissible for window length {k}"
-        )
 
     def __repr__(self) -> str:
         head = ", ".join(format(v, ".6g") for v in self._entries[:6])
@@ -231,18 +219,6 @@ def _cyclic_terms(a: np.ndarray, k: int, shift: int, context: str) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 @_in_float64_range
-def interval_sum(x: "CyclicVector | Sequence[float]", i: int, k: int) -> float:
-    """Sum of k consecutive entries starting at 1-based index i, cyclically.
-
-    i may be any integer; it is reduced modulo n.
-    """
-    v = as_cyclic_vector(x)
-    k = _check_window(k, v.n)
-    idx = (int(i) - 1 + np.arange(k)) % v.n
-    return float(np.sum(v.entries[idx]))
-
-
-@_in_float64_range
 def diananda_sum(x: "CyclicVector | Sequence[float]", k: int) -> float:
     """Cyclic sum of entry i over the window sum of the k entries that follow it.
 
@@ -332,24 +308,7 @@ def block_diagnostics(x: "CyclicVector | Sequence[float]", k: int) -> BlockDiagn
 # serialization (17 significant digits on output)
 # ---------------------------------------------------------------------------
 
-def vector_to_json(x: "CyclicVector | Sequence[float]") -> str:
-    v = as_cyclic_vector(x)
-    return "[" + ", ".join(format(e, ".17g") for e in v.entries) + "]"
-
-
-def vector_from_json(text: str) -> CyclicVector:
-    data = json.loads(text)
-    if not isinstance(data, list):
-        raise ShapeError("expected a JSON array of numbers")
-    return CyclicVector(data)
-
-
 def vector_to_lines(x: "CyclicVector | Sequence[float]") -> str:
     """One value per line, trailing newline included."""
     v = as_cyclic_vector(x)
     return "".join(format(e, ".17g") + "\n" for e in v.entries)
-
-
-def vector_from_lines(text: str) -> CyclicVector:
-    values = [float(line) for line in text.split() if line.strip()]
-    return CyclicVector(values)

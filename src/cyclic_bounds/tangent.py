@@ -1,4 +1,4 @@
-"""Common tangent of y = exp(-x) and a decay kernel, and the convex minorant it defines.
+"""Common tangent of y = exp(-x) and a decay kernel, and the ceiling gamma it defines.
 
 For every family index k > 1 (or INFINITY) there is a unique line tangent to
 both y = exp(-x) and y = eval_g(k, x).  Writing the left tangency abscissa a,
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ._records import csv_table, json_text
 from .errors import (
@@ -33,8 +33,6 @@ from .funcs import eval_g, eval_g_derivative
 __all__ = [
     "TangentSolution",
     "solve_tangent",
-    "eval_minorant",
-    "gamma_table",
     "gamma_table_csv",
     "gamma_table_json",
 ]
@@ -50,6 +48,9 @@ _LOGS = [math.log(-_SCAN_LO) + i * _STEP for i in range(_SCAN_POINTS - 1)] + [ma
 _SCAN_GRID = tuple(-math.exp(t) for t in _LOGS)
 
 _LN2 = math.log(2.0)
+
+# Bound on each of the four tangency residuals of a solution.
+_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -118,26 +119,23 @@ def _comtan_residual(idx: float, a: float) -> float:
     return g / gp - a + 1.0 - math.log(-gp)
 
 
-def solve_tangent(idx, tol: float = 1e-12) -> TangentSolution:
+def solve_tangent(idx) -> TangentSolution:
     """Solve the common-tangent system for family index idx (real > 1 or INFINITY).
 
     The scan asserts exactly one sign change of the tangency equation on
     [-30, -1e-6]; zero raises NoBracketError, several raise
     AmbiguousBracketError.  The bracket is bisected, polished with secant
-    steps, and the four tangency residuals are required to stay below tol.
+    steps, and the four tangency residuals are required to stay below 1e-12.
 
-    Solutions are memoized per (float(idx), tol), so 3 and 3.0 share one, and
+    Solutions are memoized per float(idx), so 3 and 3.0 share one, and
     are shared between callers, which the frozen TangentSolution makes safe.
     A call that raises is not cached.
     """
-    k = _check_tangent_family(idx)
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    return _solve_tangent(k, float(tol))
+    return _solve_tangent(_check_tangent_family(idx))
 
 
 @lru_cache(maxsize=256)
-def _solve_tangent(k: float, tol: float) -> TangentSolution:
+def _solve_tangent(k: float) -> TangentSolution:
     grid = _SCAN_GRID
     up = [_comtan_residual(k, a) > 0.0 for a in grid]
     brackets = [(grid[i], grid[i + 1]) for i in range(_SCAN_POINTS - 1) if up[i] != up[i + 1]]
@@ -182,24 +180,9 @@ def _solve_tangent(k: float, tol: float) -> TangentSolution:
             break
 
     sol = TangentSolution(idx=k, a=best_a)
-    if max(sol.residuals) > tol:
-        raise SolverError(f"tangency residual {max(sol.residuals)} exceeds tolerance {tol}")
+    if max(sol.residuals) > _TOL:
+        raise SolverError(f"tangency residual {max(sol.residuals)} exceeds tolerance {_TOL}")
     return sol
-
-
-def eval_minorant(sol: TangentSolution, x: float) -> float:
-    """Convex minorant of min(exp(-x), g(x)): kernel, tangent line, exponential."""
-    x = float(x)
-    if x <= sol.a:
-        return eval_g(sol.idx, x)
-    if x >= sol.b:
-        return math.exp(-x)
-    return sol.gamma + sol.lam * x
-
-
-def gamma_table(k_values: Iterable) -> list[TangentSolution]:
-    """Solve every family index in order; rows follow the input order."""
-    return [solve_tangent(k) for k in k_values]
 
 
 _COLUMNS = "k a b gamma lambda mu"

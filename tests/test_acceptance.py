@@ -65,10 +65,10 @@ def test_criterion_2_upper_bound_table():
 
 
 def test_criterion_3_high_precision_anchor():
-    gamma3 = solve_tangent(3, tol=1e-12).gamma
+    gamma3 = solve_tangent(3).gamma
     third_ok = gamma3 / 3.0 > 0.32598 - 0.5e-5
     residual_ok = all(
-        max(solve_tangent(k, tol=1e-12).residuals) <= 1e-11
+        max(solve_tangent(k).residuals) <= 1e-11
         for k in (2, 3, 4, 10, 100, 1000, INFINITY)
     )
     anchor_err = abs(gamma3 - 0.9779277982)

@@ -18,12 +18,11 @@ PACKAGE_API = {
     "AmbiguousBracketError", "CapacityError", "CyclicBoundsError", "DegenerateFamilyError",
     "DomainError", "InvalidSpecError", "NoBracketError", "ShapeError", "SolverError",
     "WindowError",
-    "INFINITY", "ReferenceLowerBounds", "eval_f", "eval_f_derivative", "eval_g",
-    "eval_g_derivative", "eval_p", "lower_bound_theorem2", "reference_lower_bounds",
+    "INFINITY", "eval_f", "eval_f_derivative", "eval_g", "eval_g_derivative", "eval_p",
+    "lower_bound_theorem2",
     "BlockDiagnostics", "CyclicVector", "as_cyclic_vector", "baston_sum", "block_diagnostics",
-    "diananda_sum", "interval_sum", "replicate", "vector_from_json", "vector_from_lines",
-    "vector_to_json", "vector_to_lines", "zero_insert",
-    "TangentSolution", "eval_minorant", "gamma_table", "solve_tangent",
+    "diananda_sum", "replicate", "vector_to_lines", "zero_insert",
+    "TangentSolution", "solve_tangent",
     "WitnessReport", "WitnessSpec", "build_witness", "plan_witness", "witness_value_and_bound",
     "MinimizationResult", "MinimizeConfig", "grid_oracle", "gradient", "minimize",
     "BoundsRow", "bounds_table",

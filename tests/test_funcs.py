@@ -18,7 +18,6 @@ from cyclic_bounds import (
     eval_g_derivative,
     eval_p,
     lower_bound_theorem2,
-    reference_lower_bounds,
 )
 from cyclic_bounds import funcs
 
@@ -221,33 +220,6 @@ class TestFloors:
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
-class TestReferenceLowerBounds:
-    def test_n9_k3_early_regime_wins(self):
-        rec = reference_lower_bounds(9, 3)
-        assert rec.diananda1961 == pytest.approx(8 / 9, rel=1e-15)
-        assert rec.diananda1961 > rec.theorem2
-        assert rec.best == rec.diananda1961
-
-    def test_n100_k3_floor_wins(self):
-        rec = reference_lower_bounds(100, 3)
-        assert rec.diananda1961 == pytest.approx(0.08, rel=1e-15)
-        assert rec.diananda1961 < rec.theorem2
-        assert rec.best == rec.theorem2
-
-    def test_boundary_n8_k3_not_applicable(self):
-        rec = reference_lower_bounds(8, 3)
-        assert rec.diananda1961 is None
-        assert rec.best == rec.theorem2
-
-    def test_rejects_n_below_k(self):
-        with pytest.raises(ValueError, match="need n >= k"):
-            reference_lower_bounds(2, 3)
-
-    def test_crude_floor_recorded(self):
-        rec = reference_lower_bounds(30, 4)
-        assert rec.diananda1962 == pytest.approx(0.25, rel=1e-15)
-
-
 class TestLogSpaceBranches:
     """Arguments beyond +-700, where the kernels switch to log-space arithmetic."""
 
@@ -274,6 +246,16 @@ class TestLogSpaceBranches:
         assert eval_f(1, 800.0) == math.inf
         assert eval_f(2, 1500.0) == math.inf
         assert eval_f_derivative(1, 800.0) == math.inf
+        assert eval_f_derivative(2, math.inf) == math.inf
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf])
+    @pytest.mark.parametrize("k", [3, INFINITY])
+    def test_limits_at_infinite_x(self, k, x):
+        # as x -> -inf, g_k grows like k e^{-x/k} (finite k) or -x (k = inf)
+        right = x > 0.0
+        assert eval_g(k, x) == (0.0 if right else math.inf)
+        assert eval_g_derivative(k, x) == (0.0 if right else -1.0 if k == INFINITY else -math.inf)
+        assert eval_p(x) == (0.0 if right else math.inf)
 
 
 class TestFamilyMonotonicity:

@@ -1,4 +1,4 @@
-"""Tests for the common-tangent solver and the convex minorant.
+"""Tests for the common-tangent solver, the convex minorant it defines, and its tables.
 
 Independent oracle: mpmath findroot at 60 digits on the full two-unknown
 tangency system (no elimination), frozen reference values below.
@@ -18,8 +18,6 @@ from cyclic_bounds import (
     SolverError,
     TangentSolution,
     eval_g,
-    eval_minorant,
-    gamma_table,
     lower_bound_theorem2,
     solve_tangent,
 )
@@ -70,7 +68,7 @@ class TestSolveTangent:
         assert sol.gamma == pytest.approx(float(mpf(ORACLE_GAMMA[2])), rel=1e-13)
 
     def test_gamma3_ten_digits_against_oracle(self):
-        got = solve_tangent(3, tol=1e-12).gamma
+        got = solve_tangent(3).gamma
         assert got == pytest.approx(float(mpf(ORACLE_GAMMA[3])), abs=1e-12)
 
     def test_oracle_reproduces_frozen_values(self):
@@ -96,7 +94,7 @@ class TestSolveTangent:
 
     def test_residuals_below_tolerance(self):
         for idx in (2, 3, 4, 10, 100, 1000, INFINITY):
-            sol = solve_tangent(idx, tol=1e-12)
+            sol = solve_tangent(idx)
             assert max(sol.residuals) <= 1e-12
             assert max(sol.residuals) <= 1e-11  # the type-level invariant
 
@@ -115,7 +113,7 @@ class TestSolveTangent:
         from cyclic_bounds.tangent import _comtan_residual
 
         for idx in (2.0, 5.0, 50.0):
-            sol = solve_tangent(idx, tol=1e-12)
+            sol = solve_tangent(idx)
             assert abs(_comtan_residual(idx, sol.a)) <= 1e-12
 
     def test_degenerate_family_rejected(self):
@@ -126,15 +124,12 @@ class TestSolveTangent:
 
     def test_memoized_solution_is_shared(self):
         assert solve_tangent(3) is solve_tangent(3.0)
-        assert solve_tangent(3) is solve_tangent(3, tol=1e-12)
 
     def test_errors_are_not_cached(self):
         for _ in range(2):
             with pytest.raises(DegenerateFamilyError):
                 solve_tangent(1)
         solve_tangent(3)
-        with pytest.raises(ValueError):
-            solve_tangent(3, tol=0)
 
     def test_solution_is_rebuilt_from_its_left_abscissa(self):
         init = [f.name for f in dataclasses.fields(TangentSolution) if f.init]
@@ -172,33 +167,26 @@ class TestSolveTangent:
             assert lower_bound_theorem2(k) < solve_tangent(k).gamma
 
 
+def minorant(sol, x):
+    """Convex minorant of min(exp(-x), g(x)) a solution defines: kernel, tangent, exponential."""
+    if x <= sol.a:
+        return eval_g(sol.idx, x)
+    return math.exp(-x) if x >= sol.b else sol.gamma + sol.lam * x
+
+
 class TestMinorant:
-    def test_intercept_on_linear_piece(self):
-        sol = solve_tangent(3)
-        assert eval_minorant(sol, 0.0) == pytest.approx(sol.gamma, rel=1e-15)
-
-    def test_right_branch_is_exponential(self):
-        sol = solve_tangent(3)
-        x = sol.b + 5.0
-        assert eval_minorant(sol, x) == pytest.approx(math.exp(-x), rel=1e-15)
-
-    def test_left_knot_agreement(self):
-        sol = solve_tangent(4)
-        kernel = eval_g(sol.idx, sol.a)
-        line = sol.gamma + sol.lam * sol.a
-        assert abs(kernel - line) <= 1e-10
-        assert eval_minorant(sol, sol.a) == pytest.approx(kernel, rel=1e-13)
+    """The tangent line joins kernel and exponential into one convex lower envelope."""
 
     def test_knot_continuity_and_smoothness(self):
         for idx in (2, 5, INFINITY):
             sol = solve_tangent(idx)
             for knot in (sol.a, sol.b):
                 h = 1e-7
-                left = eval_minorant(sol, knot - h)
-                right = eval_minorant(sol, knot + h)
+                left = minorant(sol, knot - h)
+                right = minorant(sol, knot + h)
                 assert abs(left - right) <= 1e-6  # continuity at first order in h
-                dl = (eval_minorant(sol, knot) - eval_minorant(sol, knot - h)) / h
-                dr = (eval_minorant(sol, knot + h) - eval_minorant(sol, knot)) / h
+                dl = (minorant(sol, knot) - minorant(sol, knot - h)) / h
+                dr = (minorant(sol, knot + h) - minorant(sol, knot)) / h
                 assert abs(dl - dr) <= 1e-5  # derivative match across the knot
             # direct value agreement at the knots themselves
             assert abs(eval_g(sol.idx, sol.a) - (sol.gamma + sol.lam * sol.a)) <= 1e-9
@@ -209,7 +197,7 @@ class TestMinorant:
         for idx in (2, 7, INFINITY):
             sol = solve_tangent(idx)
             for x in rng.uniform(-10, 10, 300):
-                h = eval_minorant(sol, x)
+                h = minorant(sol, x)
                 assert h <= min(math.exp(-x), eval_g(sol.idx, x)) + 1e-12
 
     def test_midpoint_convexity_across_knots(self):
@@ -220,37 +208,37 @@ class TestMinorant:
             for _ in range(300):
                 x, z = rng.uniform(lo, hi, 2)
                 mid = 0.5 * (x + z)
-                lhs = eval_minorant(sol, mid)
-                rhs = 0.5 * (eval_minorant(sol, x) + eval_minorant(sol, z))
+                lhs = minorant(sol, mid)
+                rhs = 0.5 * (minorant(sol, x) + minorant(sol, z))
                 assert lhs <= rhs + 1e-10
 
 
 class TestGammaTable:
     def test_paper_style_row_values(self):
-        rows = gamma_table([2, 3, 4, 10, 100, 1000])
+        rows = [solve_tangent(k) for k in [2, 3, 4, 10, 100, 1000]]
         got = [r.gamma for r in rows]
         want = [0.98913, 0.97793, 0.96994, 0.94983, 0.93272, 0.93072]
         for g, w in zip(got, want):
             assert g == pytest.approx(w, abs=5e-6)
 
     def test_strictly_decreasing_and_limit_smallest(self):
-        rows = gamma_table([2, 3, 4, 10, 100, 1000, INFINITY])
+        rows = [solve_tangent(k) for k in [2, 3, 4, 10, 100, 1000, INFINITY]]
         gammas = [r.gamma for r in rows]
         assert all(b < a for a, b in zip(gammas, gammas[1:]))
         assert gammas[-1] == pytest.approx(0.930498, abs=1e-6)
         assert all(g > gammas[-1] for g in gammas[:-1])
 
     def test_rows_follow_input_order(self):
-        rows = gamma_table([10, 2, INFINITY])
+        rows = [solve_tangent(k) for k in [10, 2, INFINITY]]
         assert [r.idx for r in rows] == [10.0, 2.0, math.inf]
 
     def test_abs_slope_decreasing(self):
-        rows = gamma_table([2, 3, 4, 10, 100])
+        rows = [solve_tangent(k) for k in [2, 3, 4, 10, 100]]
         lams = [abs(r.lam) for r in rows]
         assert all(b < a for a, b in zip(lams, lams[1:]))
 
     def test_csv_serialization(self):
-        rows = gamma_table([2, INFINITY])
+        rows = [solve_tangent(k) for k in [2, INFINITY]]
         text = gamma_table_csv(rows)
         lines = text.strip().split("\n")
         assert lines[0] == "k,a,b,gamma,lambda,mu"
@@ -262,7 +250,7 @@ class TestGammaTable:
     def test_json_serialization(self):
         import json
 
-        rows = gamma_table([3])
+        rows = [solve_tangent(k) for k in [3]]
         recs = json.loads(gamma_table_json(rows))
         assert recs[0]["k"] == 3
         assert recs[0]["lambda"] == pytest.approx(rows[0].lam, rel=1e-15)

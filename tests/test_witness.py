@@ -17,6 +17,7 @@ from cyclic_bounds import (
     CapacityError,
     InvalidSpecError,
     build_witness,
+    diananda_sum,
     eval_g,
     plan_witness,
     solve_tangent,
@@ -230,7 +231,7 @@ class TestBuildWitness:
         for k in (2, 3, 5):
             sol = solve_tangent(k)
             spec = plan_witness(k, 0.05, sol)
-            build_witness(spec).require_window_positivity(k)
+            diananda_sum(build_witness(spec), k)  # raises DomainError on a zero window
 
     def test_invalid_spec_rejected(self):
         good = plan_witness(2, 0.05, solve_tangent(2))
