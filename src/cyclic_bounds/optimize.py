@@ -7,7 +7,10 @@ profile when k divides n, and seeded random draws) form one (R, n) array
 that is descended together by limited-memory BFGS (Liu & Nocedal 1989): a
 two-loop recursion over the last few step pairs and a per-row Armijo
 backtracking search that accepts only a strict decrease.  Rows that reach
-the gradient tolerance or can no longer decrease leave the active set.  The
+the gradient tolerance or can no longer decrease leave the active set.  Only
+the (R, n) vector work is numpy; the per-row scalars of the loop (values,
+step lengths, rho, h0 and the tests on them) are Python floats, because on
+arrays this small each numpy call costs more than its arithmetic.  The
 best value found is an upper bound on the true infimum, never asserted to
 equal it.  A brute-force grid oracle for n <= 5 provides an independent
 cross-check on desk-scale instances.
@@ -62,15 +65,17 @@ def _window_kernel(x: np.ndarray, k: int):
     t_{j+1,k} of the k entries after j (cyclically), and acc[..., m] is the
     sum over d = 1..k of w[..., m - d] with w = x / denom^2, so the gradient
     of diananda_sum is 1/denom - acc.  Both sums run over slices of an
-    extended copy in the order d = 1..k, so each row is computed exactly as
-    it would be alone.
+    extended copy in the order d = 1..k, each starting from its first slice,
+    so each row is computed exactly as it would be alone.
     """
     n = x.shape[-1]
     denom = _window_sums(x, k, 1)
     w = x / (denom * denom)
     wext = np.concatenate((w[..., n - k :], w), axis=-1)
-    acc = wext[..., k - 1 : k - 1 + n].copy()
-    for d in range(2, k + 1):
+    acc = wext[..., k - 1 : k - 1 + n]
+    if k > 1:
+        acc = acc + wext[..., k - 2 : k - 2 + n]
+    for d in range(3, k + 1):
         acc += wext[..., k - d : k - d + n]
     return denom, acc
 
@@ -131,7 +136,8 @@ class MinimizationResult:
 def _objective(y: np.ndarray, k: int):
     """Values and gauge-projected y-gradients of (k/n) * diananda_sum(exp(y), k), per row.
 
-    y has shape (R, n); returns values of shape (R, 1) and gradients (R, n).
+    y has shape (R, n); returns the R values as a list of floats and the
+    gradients as an (R, n) array.
     """
     n = y.shape[-1]
     x = np.exp(y)
@@ -140,8 +146,8 @@ def _objective(y: np.ndarray, k: int):
     scale = k / n
     grad = terms - x * acc  # x times the x-gradient
     grad *= scale
-    grad -= grad.sum(axis=-1, keepdims=True) / n
-    return scale * terms.sum(axis=-1, keepdims=True), grad
+    grad -= np.add.reduce(grad, -1, keepdims=True) / n
+    return [scale * v for v in np.add.reduce(terms, -1).tolist()], grad
 
 
 @dataclass(frozen=True)
@@ -160,9 +166,27 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.vecdot(a, b, keepdims=True)
 
 
-def _armijo(f_try: np.ndarray, f: np.ndarray, t: np.ndarray, gp: np.ndarray) -> np.ndarray:
-    """Rows whose trial value decreases strictly and by the Armijo margin."""
-    return ((f_try < f) & (f_try <= f + _ARMIJO * t * gp))[:, 0]
+# Row reductions here and in _objective call the ufuncs' reduce directly: on
+# arrays this small the Python wrappers of ndarray.max and ndarray.sum cost
+# about as much as the reduction, which they call unchanged.
+def _inf_norms(a: np.ndarray) -> list:
+    """max |a_i| of each row of a 2-d array, as floats."""
+    return np.maximum.reduce(np.abs(a), 1).tolist()
+
+
+def _spreads(a: np.ndarray) -> list:
+    """max(a) - min(a) of each row of a 2-d array, as floats."""
+    return (np.maximum.reduce(a, 1) - np.minimum.reduce(a, 1)).tolist()
+
+
+def _column(values: list) -> np.ndarray:
+    """Per-row floats as an (R, 1) array that scales the rows of an (R, n) one."""
+    return np.array(values)[:, None]
+
+
+def _armijo(f_try: float, f: float, t: float, gp: float) -> bool:
+    """Whether a trial value decreases strictly and by the Armijo margin."""
+    return f_try < f and f_try <= f + _ARMIJO * t * gp
 
 
 def _descend(y0: np.ndarray, k: int, max_iters: int, grad_tol: float) -> _Descent:
@@ -177,23 +201,31 @@ def _descend(y0: np.ndarray, k: int, max_iters: int, grad_tol: float) -> _Descen
     step moves every log coordinate by at most _STEP_CAP and keeps the spread
     of y within _LOG_SPREAD_CAP.
 
+    The (R, n) vector work (directions, trial points, step pairs, objective)
+    is numpy on the active rows.  The per-row scalars (values, g.p, step
+    lengths, spread bounds, rho, h0 and the stopping tests) are lists of
+    Python floats: these are IEEE doubles, so they round as numpy's would,
+    and the ulp of a positive value is np.spacing of it.
+
     The direction p = -H g is downhill, as every stored pair has rho >= 0 and
     h0 > 0; should rounding give g.p >= 0, the backtracking filter stops the row.
     """
     y = np.array(y0, dtype=float, ndmin=2)
     y -= y.mean(axis=1, keepdims=True)
-    spread = y.max(axis=1, keepdims=True) - y.min(axis=1, keepdims=True)
     val, g = _objective(y, k)
     iters = np.zeros(y.shape[0], dtype=int)
-    live = np.flatnonzero(np.abs(g).max(axis=1) > grad_tol)  # row of y behind each active row
+    gmax = _inf_norms(g)
+    live = [r for r, gm in enumerate(gmax) if gm > grad_tol]  # row of y behind each active row
 
-    ya, fa, ga, spread = y[live], val[live], g[live], spread[live]
+    ya, ga = y[live], g[live]
+    fa = [val[r] for r in live]
+    spread = _spreads(ya)
     # the first step moves the largest coordinate by 1
-    h0 = 1.0 / np.abs(ga).max(axis=1, keepdims=True)
+    h0 = [1.0 / gmax[r] for r in live]
     # per stored step, oldest first: (s, dg, rho * s, rho * dg) with rho = 1 / (s . dg)
     mem: deque = deque(maxlen=_MEMORY)
     for it in range(max_iters):
-        if live.size == 0:
+        if not live:
             break
         # two-loop recursion: p = -H g
         p = -ga
@@ -202,56 +234,80 @@ def _descend(y0: np.ndarray, k: int, max_iters: int, grad_tol: float) -> _Descen
             a = _dot(rs, p)
             p -= a * dg
             alphas.append(a)
-        p *= h0
+        p *= _column(h0)
         for (s, dg, rs, rdg), a in zip(mem, reversed(alphas)):
             p += (a - _dot(rdg, p)) * s
-        gp = _dot(ga, p)
+        gp = np.vecdot(ga, p).tolist()
 
         # per-row Armijo backtracking that accepts only a strict decrease
-        pmax = np.abs(p).max(axis=1, keepdims=True)
-        t = np.minimum(1.0, np.minimum(_STEP_CAP, 0.5 * (_LOG_SPREAD_CAP - spread)) / pmax)
-        y_new = ya + t * p
+        pmax = _inf_norms(p)
+        # spread holds an upper bound on each row's spread.  The cap below is
+        # _STEP_CAP for every spread up to _LOG_SPREAD_CAP - 2 _STEP_CAP, so the
+        # exact spreads are needed only once a bound passes that.
+        if max(spread) > _LOG_SPREAD_CAP - 2.0 * _STEP_CAP:
+            spread = _spreads(ya)
+        t = [
+            min(1.0, min(_STEP_CAP, 0.5 * (_LOG_SPREAD_CAP - sp)) / pm)
+            for sp, pm in zip(spread, pmax)
+        ]
+        y_new = ya + _column(t) * p
         f_new, g_new = _objective(y_new, k)
-        ok = _armijo(f_new, fa, t, gp)
-        if not ok.all():
-            todo = np.flatnonzero(~ok)
+        ok = list(map(_armijo, f_new, fa, t, gp))
+        if not all(ok):
+            todo = [r for r, passed in enumerate(ok) if not passed]
             for _ in range(_BACKTRACKS):
                 # give up where the predicted decrease is below the value's resolution
-                todo = todo[(-t[todo] * gp[todo] >= np.spacing(fa[todo]))[:, 0]]
-                if todo.size == 0:
+                todo = [r for r in todo if -t[r] * gp[r] >= math.ulp(fa[r])]
+                if not todo:
                     break
-                t[todo] *= 0.5
-                y_try = ya[todo] + t[todo] * p[todo]
+                for r in todo:
+                    t[r] *= 0.5
+                y_try = ya[todo] + _column([t[r] for r in todo]) * p[todo]
                 f_try, g_try = _objective(y_try, k)
-                hit = _armijo(f_try, fa[todo], t[todo], gp[todo])
-                rows = todo[hit]
-                y_new[rows], f_new[rows], g_new[rows] = y_try[hit], f_try[hit], g_try[hit]
-                ok[rows] = True
-                todo = todo[~hit]
-            y_new[~ok], f_new[~ok], g_new[~ok] = ya[~ok], fa[~ok], ga[~ok]
+                hit = [_armijo(f_try[i], fa[r], t[r], gp[r]) for i, r in enumerate(todo)]
+                if any(hit):
+                    rows = [r for r, h in zip(todo, hit) if h]
+                    y_new[rows], g_new[rows] = y_try[hit], g_try[hit]
+                    for r, f, h in zip(todo, f_try, hit):
+                        if h:
+                            f_new[r], ok[r] = f, True
+                    todo = [r for r, h in zip(todo, hit) if not h]
+            stuck = [r for r, passed in enumerate(ok) if not passed]
+            if stuck:
+                y_new[stuck], g_new[stuck] = ya[stuck], ga[stuck]
+                for r in stuck:
+                    f_new[r] = fa[r]
 
         # store the step pair; a row failing the curvature test gets rho = 0
         s, dg = y_new - ya, g_new - ga
-        sy, yy = _dot(s, dg), _dot(dg, dg)
-        good = sy > 1e-12 * yy
-        rho = np.divide(1.0, sy, out=np.zeros_like(sy), where=good)
+        sy, yy = np.vecdot(s, dg).tolist(), np.vecdot(dg, dg).tolist()
+        good = [a > 1e-12 * b for a, b in zip(sy, yy)]
+        rho = _column([1.0 / a if curved else 0.0 for a, curved in zip(sy, good)])
         mem.append((s, dg, rho * s, rho * dg))
-        np.divide(sy, yy, out=h0, where=good)
+        h0 = [a / b if curved else h for a, b, curved, h in zip(sy, yy, good, h0)]
 
+        # no entry moved by more than t * pmax; 1e-9 covers the rounding of the
+        # step and of the bound, under 1e-12 for the centred y, |y| <= 300
+        spread = [sp + 2.0 * tt * pm + 1e-9 for sp, tt, pm in zip(spread, t, pmax)]
         ya, fa, ga = y_new, f_new, g_new
-        spread = ya.max(axis=1, keepdims=True) - ya.min(axis=1, keepdims=True)
-        stay = ok & (np.abs(ga).max(axis=1) > grad_tol)
-        if not stay.all():
-            done = live[~stay]
-            y[done], val[done], g[done] = ya[~stay], fa[~stay], ga[~stay]
-            iters[done] = it + ok[~stay]
-            ya, fa, ga, h0, spread = ya[stay], fa[stay], ga[stay], h0[stay], spread[stay]
-            mem = deque((tuple(v[stay] for v in m) for m in mem), maxlen=_MEMORY)
-            live = live[stay]
-    y[live], val[live], g[live] = ya, fa, ga
-    iters[live] = max_iters
+        gmax = _inf_norms(ga)
+        stay = [passed and gm > grad_tol for passed, gm in zip(ok, gmax)]
+        if not all(stay):
+            keep = [i for i, st in enumerate(stay) if st]
+            done = [i for i, st in enumerate(stay) if not st]
+            rows = [live[i] for i in done]
+            y[rows], g[rows] = ya[done], ga[done]
+            for i, r in zip(done, rows):
+                val[r], iters[r] = fa[i], it + ok[i]
+            ya, ga = ya[keep], ga[keep]
+            fa, h0, spread = ([v[i] for i in keep] for v in (fa, h0, spread))
+            mem = deque((tuple(v[keep] for v in m) for m in mem), maxlen=_MEMORY)
+            live = [live[i] for i in keep]
+    y[live], g[live] = ya, ga
+    for i, r in enumerate(live):
+        val[r], iters[r] = fa[i], max_iters
     gnorm = np.abs(g).max(axis=1)
-    return _Descent(val[:, 0], y, gnorm, gnorm <= grad_tol, iters)
+    return _Descent(np.array(val), y, gnorm, gnorm <= grad_tol, iters)
 
 
 def _witness_shaped_log_start(n: int, k: int) -> Optional[np.ndarray]:

@@ -157,19 +157,26 @@ _TILE = 1 << 15
 
 
 def _add_windows(a: np.ndarray, k: int, shift: int, t0: int, tile: np.ndarray) -> None:
-    """Add into tile the sums of the windows starting at storage index j + shift.
+    """Write into tile the sums of the windows starting at storage index j + shift.
 
-    tile is the view of columns t0 .. t0 + m - 1 of a zeroed result, and each
-    of its windows adds its k entries in the order d = 0..k-1.  A tile that
-    ends before the wrap reads a directly; only the last one concatenates its
-    own span with the k + shift - 1 entries that wrap around to the start.
+    tile is the view of columns t0 .. t0 + m - 1 of the result.  Each window
+    starts from its first entry, never from a 0.0 fill, and adds the others in
+    the order d = 1..k-1; as 0.0 + a == a for every a but -0.0, each sum is
+    bit for bit the one added into zeros, but for the sign of a zero sum.  A
+    tile that ends before the wrap reads a directly; only the last one
+    concatenates its own span with the k + shift - 1 entries that wrap around
+    to the start.
     """
     n, m = a.shape[-1], tile.shape[-1]
     wrap = k + shift - 1
     src = a[..., t0 + shift :]
     if t0 + m + wrap > n:
         src = np.concatenate([src, a[..., :wrap]], axis=-1)
-    for d in range(k):
+    if k == 1:
+        tile[...] = src[..., :m]
+        return
+    np.add(src[..., :m], src[..., 1 : m + 1], out=tile)
+    for d in range(2, k):
         tile += src[..., d : d + m]
 
 
@@ -183,10 +190,10 @@ def _window_sums(a: np.ndarray, k: int, shift: int) -> np.ndarray:
 
     The sums are built one column tile of _TILE entries at a time, so at
     large n the accumulator stays in cache over all k offsets.  Every window
-    still starts from 0.0 and adds d = 0..k-1 in order, so each entry is bit
-    for bit that of one untiled pass over the whole axis.
+    still adds d = 0..k-1 in order, so each entry is bit for bit that of one
+    untiled pass over the whole axis.
     """
-    out = np.zeros(a.shape)
+    out = np.empty(a.shape)
     for t0 in range(0, a.shape[-1], _TILE):
         _add_windows(a, k, shift, t0, out[..., t0 : t0 + _TILE])
     return out
@@ -203,7 +210,7 @@ def _cyclic_terms(a: np.ndarray, k: int, shift: int, context: str) -> np.ndarray
     pairwise order is that of the untiled terms.
     """
     n = a.size
-    terms = np.zeros(n)
+    terms = np.empty(n)
     for t0 in range(0, n, _TILE):
         tile = terms[t0 : t0 + _TILE]
         _add_windows(a, k, shift, t0, tile)

@@ -183,21 +183,28 @@ def plan_witness(
                 f"witness for k={ki}, eps={eps} needs n = {n} > cap {n_cap}",
                 required_n=n,
             )
-        m = ki * p * scale
-        m_prime = n - m
-        # the peak log-entry sits at the sparse/dense boundary
-        if (m_prime / ki) * b_star > _MAX_LOG_ENTRY:
-            raise CapacityError(
-                f"witness for k={ki}, eps={eps} needs entries up to "
-                f"exp({(m_prime / ki) * b_star:.1f}), beyond float64 range",
-                required_n=n,
-            )
-        return WitnessSpec(k=ki, n=n, m=m, a_star=a_star, eps=float(eps))
+        spec = WitnessSpec(k=ki, n=n, m=ki * p * scale, a_star=a_star, eps=float(eps))
+        _check_float64_range(spec)
+        return spec
 
     raise SolverError(
         f"no continued-fraction convergent of mu={sol.mu} satisfied the "
         f"mid-certificate for k={ki}, eps={eps}"
     )
+
+
+def _check_float64_range(spec: WitnessSpec) -> None:
+    """Raise CapacityError if the built entries would leave float64 range.
+
+    The peak log-entry (m'/k) b* sits at the sparse/dense boundary.
+    """
+    peak = (spec.m_prime / spec.k) * spec.b_star
+    if peak > _MAX_LOG_ENTRY:
+        raise CapacityError(
+            f"witness for k={spec.k}, eps={spec.eps} needs entries up to "
+            f"exp({peak:.1f}), beyond float64 range",
+            required_n=spec.n,
+        )
 
 
 def _log_profile(n: int, k: int, m_prime: int, a: float, b: float) -> np.ndarray:
@@ -218,8 +225,10 @@ def build_witness(spec: WitnessSpec) -> CyclicVector:
     """Materialize the sparse-geometric vector described by spec.
 
     Log-entries are linear in the index and exponentiated once, so no
-    cumulative multiplication error accrues.
+    cumulative multiplication error accrues.  Raises CapacityError, as
+    plan_witness does, for a valid spec whose entries leave float64 range.
     """
+    _check_float64_range(spec)
     logx = _log_profile(spec.n, spec.k, spec.m_prime, spec.a_star, spec.b_star)
     return CyclicVector._adopt(np.exp(logx))
 

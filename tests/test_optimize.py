@@ -22,6 +22,7 @@ from cyclic_bounds import (
     lower_bound_theorem2,
     minimize,
 )
+from cyclic_bounds import optimize
 from cyclic_bounds.optimize import _default_levels, _descend, _witness_shaped_log_start
 
 # sha256 of _witness_shaped_log_start(n, k).tobytes(): minimize's output bytes
@@ -47,6 +48,25 @@ START_DIGESTS = [
     (6000, 2, "93c3ed531ad4b5e364d3f8a39e20b0237b4c2a75c71bb8425d0076b27981412e"),
     (12000, 2, "0329fef27183e6bd4812a25f50d7c618c2f8eff6a251cdd3efb497e60d556a80"),
     (12000, 3, "5fd1a0b09e375b1d939bba507f275a238ca447f43f3d77971723853938a72293"),
+]
+
+
+# sha256 of the bytes of _descend's value, y, gradient_norm and iterations, and
+# its _objective call count, for seeded batches of uniform(-amp, amp) starts; a
+# 4-row batch has its second row set to the stationary uniform start.  Together
+# the batches backtrack, give up on the ulp test, reject pairs by the curvature
+# test on rows that stay, start within 4 of the log-spread cap or cross into
+# that band mid-run, retire rows mid-run (converged or stuck) and run rows to
+# max_iters, at k = 1, 2, 3 and 5.
+DESCENT_PINS = [
+    # seed, n, k, rows, amp, max_iters, grad_tol, _objective calls, digest
+    (0, 14, 2, 5, 3.0, 600, 1e-10, 712, "587afcb33033114517914511e67cce2d6fcb9891c322f9d7691c65ef7d3fafa7"),
+    (0, 20, 5, 3, 8.0, 200, 1e-10, 274, "00b264dfbd98559b18d0e6faec9c7ce7dd9bde209c061053f7c9cc9c262867f2"),
+    (1, 7, 1, 2, 3.0, 600, 1e-10, 25, "4b34792c90aacec2ed56428ffbdd90ae0ef1185dc8e3ec6a7bcbfd726e7e7bb6"),
+    (2, 60, 3, 4, 3.0, 60, 1e-6, 66, "abe1b080ff729d0692dd1eb4f054d5c6e1fd053e054b5938f8728a80e67edf58"),
+    (3, 240, 2, 2, 149.0, 25, 1e-10, 26, "2795427dfa9c65dceee011be776eec4fb5e397738eb381cf2315583167f8ba59"),
+    (4, 24, 3, 3, 2.0, 300, 1e-7, 327, "7c543d6c8322682ee3235d1aeb6c37bf9b3deff70812d0e5515a488fab15b63f"),
+    (5, 30, 3, 2, 146.5, 60, 1e-10, 61, "aad710a6c8493f77c22081407916e4d80b7d7e9b9a7f0dffa0f4c26e9c8c6ea9"),
 ]
 
 
@@ -185,6 +205,23 @@ class TestMinimize:
                     np.exp(batch.y[r]), np.exp(alone.y[0]), rtol=1e-12, atol=0.0
                 ), (n, k, r)
                 assert batch.converged[r] == alone.converged[0]
+
+    @pytest.mark.parametrize("seed, n, k, rows, amp, max_iters, grad_tol, calls, digest", DESCENT_PINS)
+    def test_descent_bits_pinned(self, monkeypatch, seed, n, k, rows, amp, max_iters, grad_tol, calls, digest):
+        count = [0]
+        objective = optimize._objective
+
+        def counted(*args):
+            count[0] += 1
+            return objective(*args)
+
+        monkeypatch.setattr(optimize, "_objective", counted)
+        y0 = np.random.default_rng([seed, n, k]).uniform(-amp, amp, (rows, n))
+        if rows >= 4:
+            y0[1] = 0.0
+        d = _descend(y0, k, max_iters, grad_tol)
+        got = b"".join(a.tobytes() for a in (d.value, d.y, d.gradient_norm, d.iterations))
+        assert (count[0], hashlib.sha256(got).hexdigest()) == (calls, digest)
 
     def test_uniform_row_stops_at_once(self):
         rng = np.random.default_rng(13)

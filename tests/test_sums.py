@@ -354,6 +354,7 @@ class TestTiledKernel:
         a = np.exp(rng.uniform(-30.0, 30.0, n))
         if n > 4 * k:
             a[rng.integers(0, n, n // 5)] = 0.0  # zero entries, windows may stay positive
+        a[0] = -0.0  # a window of signed zeros sums to -0.0 from its first slice, not 0.0
         try:
             want = untiled_sum(a, k, 1, " while evaluating the cyclic sum").hex()
         except DomainError as exc:

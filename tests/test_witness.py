@@ -103,6 +103,14 @@ class TestPlanWitness:
         assert spec.delta == pytest.approx(want_delta, rel=1e-14)
         assert spec.delta / spec.n < 0.01 / 2
 
+    def test_built_spec_beyond_float64_range_is_refused(self):
+        # a valid spec that plan_witness refuses: its peak entry is exp(1807.9)
+        spec = WitnessSpec(2, 42014, 18006, solve_tangent(2).a, 1e-4)
+        for build in (build_witness, witness_value_and_bound):
+            with pytest.raises(CapacityError, match=r"exp\(1807\.9\), beyond float64 range") as err:
+                build(spec)
+            assert err.value.required_n == 42014
+
     def test_capacity_error_reports_needed_n(self):
         sol = solve_tangent(2)
         with pytest.raises(CapacityError) as err:
