@@ -12,18 +12,17 @@ import argparse
 import math
 import sys
 
+# Module level binds only the scalar layers, which import no numpy; each
+# handler that computes arrays imports what it calls, at call time.
 from ._records import cell, json_text, record
 from .bounds import bounds_table, bounds_table_csv, bounds_table_json
 from .errors import CapacityError, CyclicBoundsError
-from .optimize import MinimizeConfig, minimize
-from .sums import vector_to_lines
 from .tangent import _solution_fields, gamma_table_csv, gamma_table_json, solve_tangent
-from .verification import report_to_json, run_verification
-from .witness import DEFAULT_N_CAP, _value_and_bound, build_witness, plan_witness
+from .witness import DEFAULT_N_CAP, plan_witness
 
 __all__ = ["main", "entry_point"]
 
-K_MAX_LIMIT = 10_000  # largest `bounds --k-max`: each k costs a tangent solve of about 1 ms
+K_MAX_LIMIT = 10_000  # largest `bounds --k-max`: each k costs a cold tangent solve of 1.5-1.7 ms
 
 
 def _fmt6(v: float) -> str:
@@ -125,11 +124,15 @@ def _cmd_witness(parser, args) -> int:
         parser.error(f"--eps must be positive and finite, got {args.eps}")
     if args.n_cap < 1:
         parser.error(f"--n-cap must be >= 1, got {args.n_cap}")
+    from .witness import _value_and_bound, build_witness
+
     sol = solve_tangent(args.k)
     spec = plan_witness(args.k, args.eps, sol, n_cap=args.n_cap)
     x = build_witness(spec)
     report = _value_and_bound(spec, x)
     if args.out:
+        from .sums import vector_to_lines
+
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(vector_to_lines(x))
     if args.format == "json":
@@ -158,6 +161,8 @@ def _cmd_minimize(parser, args) -> int:
         value = getattr(args, flag)
         if value < 0:
             parser.error(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
+    from .optimize import MinimizeConfig, minimize
+
     cfg = MinimizeConfig(
         restarts=args.restarts, seed=args.seed, max_iters=args.max_iters
     )
@@ -169,6 +174,8 @@ def _cmd_minimize(parser, args) -> int:
 def _cmd_verify(parser, args) -> int:
     if args.seed < 0:
         parser.error(f"--seed must be >= 0, got {args.seed}")
+    from .verification import report_to_json, run_verification
+
     report = run_verification(suite=args.suite, seed=args.seed)
     sys.stdout.write(report_to_json(report) + "\n")
     return 0 if report.passed else 1

@@ -14,6 +14,9 @@ yields the analytic certificate
     (k/n) * sum  <  (1-mu*) exp(-b*) + mu* g_k(a*) + delta / n  <  gamma_k + eps
 
 once n > 2 delta / eps, where delta = k^2 exp(-a*/k) - k g_k(a*).
+
+Planning is pure Python; numpy is imported only by the functions that build
+or evaluate the vector.
 """
 
 from __future__ import annotations
@@ -21,14 +24,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ._records import json_text, record
 from .errors import CapacityError, InvalidSpecError, SolverError
 from .funcs import eval_g
-from .sums import CyclicVector, diananda_sum
 from .tangent import TangentSolution, _mixed_value, solve_tangent
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .sums import CyclicVector
 
 __all__ = [
     "WitnessSpec",
@@ -176,7 +182,12 @@ def plan_witness(
         b_star = _right_abscissa(a_star, p, q)
         if not _mixed_value(ki, p / q, a_star, b_star) < sol.gamma + eps / 2.0:
             continue
-        scale = int(2.0 * delta / (eps * ki * q)) + 1
+        quotient = 2.0 * delta / (eps * ki * q)
+        if quotient == math.inf:  # a subnormal eps: int() cannot take the overflow
+            raise CapacityError(
+                f"witness for k={ki}, eps={eps} needs n beyond float range > cap {n_cap}"
+            )
+        scale = int(quotient) + 1
         n = ki * q * scale
         if n > n_cap:
             raise CapacityError(
@@ -213,6 +224,8 @@ def _log_profile(n: int, k: int, m_prime: int, a: float, b: float) -> np.ndarray
     Entry i (1-based) has log j b at the sparse indices i = j k < m', is zero
     elsewhere below m', and has log a (i - n) / k from m' to n.
     """
+    import numpy as np
+
     logx = np.full(n, -np.inf)
     js = np.arange(1, m_prime // k)
     logx[js * k - 1] = js * b
@@ -228,6 +241,10 @@ def build_witness(spec: WitnessSpec) -> CyclicVector:
     cumulative multiplication error accrues.  Raises CapacityError, as
     plan_witness does, for a valid spec whose entries leave float64 range.
     """
+    import numpy as np
+
+    from .sums import CyclicVector
+
     _check_float64_range(spec)
     logx = _log_profile(spec.n, spec.k, spec.m_prime, spec.a_star, spec.b_star)
     return CyclicVector._adopt(np.exp(logx))
@@ -244,5 +261,7 @@ def witness_value_and_bound(spec: WitnessSpec) -> WitnessReport:
 
 def _value_and_bound(spec: WitnessSpec, x: CyclicVector) -> WitnessReport:
     """witness_value_and_bound for the vector x already built from spec."""
+    from .sums import diananda_sum
+
     value = spec.k / spec.n * diananda_sum(x, spec.k)
     return WitnessReport(value, spec.analytic_bound, spec.gamma_plus_eps)

@@ -2,10 +2,15 @@
 
 A name left in a layer's `__all__` after its object was deleted breaks
 `from cyclic_bounds.<layer> import *` and any tool that wraps each listed
-name, so every listed name must resolve in its module.
+name, so every listed name must resolve in its module.  The package and the
+scalar commands load no numpy; only the array layer does.
 """
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +33,16 @@ PACKAGE_API = {
     "BoundsRow", "bounds_table",
 }
 
+# (statement run in a fresh interpreter, whether numpy is loaded after it)
+NUMPY_LOADS = [
+    ("import cyclic_bounds", False),
+    ("import cyclic_bounds.cli", False),
+    ("from cyclic_bounds import cli; cli.main(['bounds', '--k-max', '3'])", False),
+    ("from cyclic_bounds import cli; cli.main(['tangent', '--k', '3'])", False),
+    ("from cyclic_bounds import plan_witness, solve_tangent; plan_witness(3, 0.01, solve_tangent(3))", False),
+    ("import cyclic_bounds; cyclic_bounds.minimize", True),
+]
+
 
 @pytest.mark.parametrize("layer", LAYERS)
 def test_every_listed_name_resolves(layer):
@@ -38,12 +53,18 @@ def test_every_listed_name_resolves(layer):
 
 
 def test_package_exports_exactly_the_public_api():
-    public = {
+    # The array names are resolved on first use, so vars() alone may not hold them yet.
+    assert set(cyclic_bounds.__all__) == PACKAGE_API
+    assert len(cyclic_bounds.__all__) == len(PACKAGE_API)
+    assert {name for name in dir(cyclic_bounds) if not name.startswith("_")} == PACKAGE_API
+    missing = [name for name in PACKAGE_API if not hasattr(cyclic_bounds, name)]
+    assert missing == []
+    bound = {
         name
         for name, value in vars(cyclic_bounds).items()
         if not name.startswith("_") and type(value) is not type(cyclic_bounds)
     }
-    assert public == PACKAGE_API
+    assert bound <= PACKAGE_API
 
 
 def test_bounds_and_optimize_list_only_their_current_api():
@@ -53,3 +74,18 @@ def test_bounds_and_optimize_list_only_their_current_api():
     assert set(optimize.__all__) == {
         "MinimizeConfig", "MinimizationResult", "gradient", "minimize", "grid_oracle"
     }
+
+
+def test_numpy_loads_only_with_the_array_layer():
+    src = str(Path(cyclic_bounds.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    for statement, loads in NUMPY_LOADS:
+        child = subprocess.run(
+            [sys.executable, "-c", f"{statement}\nimport sys; print('numpy' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.splitlines()[-1] == str(loads), statement
+    namespace = {}
+    exec("from cyclic_bounds import *", namespace)
+    assert set(namespace) - {"__builtins__"} == PACKAGE_API

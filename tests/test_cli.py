@@ -146,6 +146,14 @@ class TestWitnessCommand:
         assert code == 1
         assert "needed n" in err or "needs n" in err
 
+    @pytest.mark.parametrize("eps", ["1e-320", "5e-324"])
+    def test_subnormal_eps_is_capacity_error(self, capsys, eps):
+        # 2 delta / eps overflows to inf, which int() cannot convert
+        code, out, err = run_cli(capsys, "witness", "--k", "2", "--eps", eps)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("capacity error:")
+
     def test_n_cap_refusal_exit_1(self, capsys):
         code, out, err = run_cli(
             capsys, "witness", "--k", "2", "--eps", "0.01", "--n-cap", "100"
@@ -193,7 +201,7 @@ class TestWitnessCommand:
         )
 
     def test_out_builds_the_vector_once(self, capsys, tmp_path, monkeypatch):
-        from cyclic_bounds import cli, witness
+        from cyclic_bounds import witness
 
         calls = []
 
@@ -201,7 +209,6 @@ class TestWitnessCommand:
             calls.append(spec)
             return build(spec)
 
-        monkeypatch.setattr(cli, "build_witness", counted)
         monkeypatch.setattr(witness, "build_witness", counted)
         out_path = tmp_path / "witness.txt"
         code, _, _ = run_cli(

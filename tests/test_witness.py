@@ -118,6 +118,12 @@ class TestPlanWitness:
         assert err.value.required_n is not None
         assert err.value.required_n > 10_000_000
 
+    @pytest.mark.parametrize("eps", [1e-320, 5e-324])
+    def test_subnormal_eps_is_capacity_error(self, eps):
+        # 2 delta / eps overflows to inf; the refusal comes before int() sees it
+        with pytest.raises(CapacityError, match="beyond float range"):
+            plan_witness(2, eps, solve_tangent(2))
+
     def test_n_cap_refusal_reports_needed_n(self):
         with pytest.raises(CapacityError) as err:
             plan_witness(2, 0.01, solve_tangent(2), n_cap=100)
