@@ -15,8 +15,10 @@ yields the analytic certificate
 
 once n > 2 delta / eps, where delta = k^2 exp(-a*/k) - k g_k(a*).
 
-Planning is pure Python; numpy is imported only by the functions that build
-or evaluate the vector.
+Planning and evaluation are pure Python and O(k): the value is computed from
+the closed form, without building the vector.  numpy is imported only by
+the functions that build or sum the vector, and only build_witness refuses a
+valid spec whose entries would leave float64 range.
 """
 
 from __future__ import annotations
@@ -160,8 +162,9 @@ def plan_witness(
     < gamma + eps/2 fails.  n = k q s with the smallest integer scale s
     making delta/n < eps/2.
 
-    Raises CapacityError when the needed n exceeds n_cap, or when the built
-    entries would leave float64 range.
+    Raises CapacityError only when the needed n exceeds n_cap, or when a
+    subnormal eps puts it beyond float range; a plan whose entries would leave
+    float64 range is still returned, since only build_witness needs them.
     """
     ki = int(k)
     if ki != k or ki < 2:
@@ -194,9 +197,7 @@ def plan_witness(
                 f"witness for k={ki}, eps={eps} needs n = {n} > cap {n_cap}",
                 required_n=n,
             )
-        spec = WitnessSpec(k=ki, n=n, m=ki * p * scale, a_star=a_star, eps=float(eps))
-        _check_float64_range(spec)
-        return spec
+        return WitnessSpec(k=ki, n=n, m=ki * p * scale, a_star=a_star, eps=float(eps))
 
     raise SolverError(
         f"no continued-fraction convergent of mu={sol.mu} satisfied the "
@@ -205,7 +206,7 @@ def plan_witness(
 
 
 def _check_float64_range(spec: WitnessSpec) -> None:
-    """Raise CapacityError if the built entries would leave float64 range.
+    """Raise CapacityError if the entries of build_witness(spec) would leave float64 range.
 
     The peak log-entry (m'/k) b* sits at the sparse/dense boundary.
     """
@@ -238,8 +239,8 @@ def build_witness(spec: WitnessSpec) -> CyclicVector:
     """Materialize the sparse-geometric vector described by spec.
 
     Log-entries are linear in the index and exponentiated once, so no
-    cumulative multiplication error accrues.  Raises CapacityError, as
-    plan_witness does, for a valid spec whose entries leave float64 range.
+    cumulative multiplication error accrues.  Raises CapacityError for a
+    valid spec whose entries leave float64 range.
     """
     import numpy as np
 
@@ -250,17 +251,35 @@ def build_witness(spec: WitnessSpec) -> CyclicVector:
     return CyclicVector._adopt(np.exp(logx))
 
 
-def witness_value_and_bound(spec: WitnessSpec) -> WitnessReport:
-    """Evaluate the built witness and compare with its analytic certificate.
+def _closed_form_value(spec: WitnessSpec) -> float:
+    """(k/n) times the cyclic sum of build_witness(spec), term class by term class.
 
-    value is (k/n) times the cyclic sum of the built vector; analytic_bound
-    is (1-mu*) exp(-b*) + mu* g_k(a*) + delta/n.
+    With m' = n - m the sum is (m'/k) e^{-b*} from the nonzero sparse entries
+    and the last one, (m - k + 1) g_k(a*)/k from the dense windows, and the
+    k - 1 terms at i = n - s whose windows wrap onto zeros, each
+    expm1(-a*/k) / (-expm1(a* s/k)).  O(k) scalar work; no entry is formed.
     """
-    return _value_and_bound(spec, build_witness(spec))
+    k, a = spec.k, spec.a_star
+    rise = math.expm1(-a / k)
+    wrap = (rise / -math.expm1(a * s / k) for s in range(1, k))
+    total = math.fsum([spec.m_prime // k * math.exp(-spec.b_star),
+                       (spec.m - k + 1) * eval_g(k, a) / k, *wrap])
+    return k / spec.n * total
+
+
+def witness_value_and_bound(spec: WitnessSpec) -> WitnessReport:
+    """The witness value and its analytic certificate, without building the vector.
+
+    value is (k/n) times the cyclic sum of the vector build_witness(spec)
+    would return, from its closed form in O(k) pure-Python work, so it
+    needs no numpy and holds for specs whose entries leave float64 range;
+    analytic_bound is (1-mu*) exp(-b*) + mu* g_k(a*) + delta/n.
+    """
+    return WitnessReport(_closed_form_value(spec), spec.analytic_bound, spec.gamma_plus_eps)
 
 
 def _value_and_bound(spec: WitnessSpec, x: CyclicVector) -> WitnessReport:
-    """witness_value_and_bound for the vector x already built from spec."""
+    """The report for x, the vector built from spec, with value summed from its entries."""
     from .sums import diananda_sum
 
     value = spec.k / spec.n * diananda_sum(x, spec.k)

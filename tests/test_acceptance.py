@@ -11,9 +11,11 @@ that value comes from an mpmath solve of the two-unknown tangency system,
 which the unit tests rerun at 60 digits.
 """
 
+import decimal
 import math
 import time
 
+import mpmath
 import numpy as np
 
 from cyclic_bounds import (
@@ -32,7 +34,7 @@ from cyclic_bounds.cli import main as cli_main
 from cyclic_bounds.verification import report_to_json, run_verification
 
 
-def _line(num: int, ok: bool, detail: str) -> None:
+def _line(num, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} - {detail}")
 
 
@@ -198,3 +200,45 @@ def test_criterion_8_bracket_consistency():
         "constants between them stay open by design",
     )
     assert ok
+
+
+def test_headline_witness_below_09305():
+    """One explicit witness puts the normalized sum below the paper's ceiling 0.9305.
+
+    This is a float-level check: value <= analytic_bound < gamma_plus_eps <
+    0.9305 compares rounded floats, cross-checked against a 40-digit
+    evaluation of the same closed form.  The outward-rounded proof, with
+    every rounding error counted, is still open.
+    """
+    k, eps = 230_000, 9e-7
+    spec = plan_witness(k, eps, solve_tangent(k), n_cap=10**18)
+    assert (spec.n, spec.m) == (117_555_246_345_600_000, 37_008_133_108_800_000)
+    t0 = time.perf_counter()
+    report = witness_value_and_bound(spec)
+    elapsed = time.perf_counter() - t0
+    ok = report.value <= report.analytic_bound < report.gamma_plus_eps < 0.9305
+    _line(
+        "headline",
+        ok,
+        f"k={k} n={spec.n}: value {report.value:.8f} <= bound {report.analytic_bound:.8f} "
+        f"< gamma+eps {report.gamma_plus_eps:.8f} < 0.9305 in {elapsed * 1e3:.0f} ms",
+    )
+    assert ok
+
+    # The closed form from exact n and m and the float a*: mpmath for the
+    # transcendental values, and the k - 1 wrap terms summed in decimal at
+    # the same 40 digits, which runs six times faster than mpf arithmetic.
+    n, m = spec.n, spec.m
+    with mpmath.workdps(40), decimal.localcontext() as ctx:
+        ctx.prec = 40
+        a = mpmath.mpf(spec.a_star)
+        b = -a * m / (n - m)
+        g = -k * mpmath.expm1(-a / k) / mpmath.expm1(a)
+        ratio = decimal.Decimal(mpmath.nstr(mpmath.exp(a / k), 45))
+        power, wrap = decimal.Decimal(1), decimal.Decimal(0)
+        for _ in range(1, k):
+            power *= ratio
+            wrap += 1 / (1 - power)
+        wrap = mpmath.expm1(-a / k) * mpmath.mpf(str(wrap))
+        want = mpmath.mpf(k) / n * ((n - m) // k * mpmath.exp(-b) + (m - k + 1) * g / k + wrap)
+    assert abs(report.value - want) <= 1e-12 * want

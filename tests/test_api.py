@@ -40,6 +40,8 @@ NUMPY_LOADS = [
     ("from cyclic_bounds import cli; cli.main(['bounds', '--k-max', '3'])", False),
     ("from cyclic_bounds import cli; cli.main(['tangent', '--k', '3'])", False),
     ("from cyclic_bounds import plan_witness, solve_tangent; plan_witness(3, 0.01, solve_tangent(3))", False),
+    ("from cyclic_bounds import plan_witness, solve_tangent, witness_value_and_bound; "
+     "witness_value_and_bound(plan_witness(4, 1e-4, solve_tangent(4)))", False),
     ("import cyclic_bounds; cyclic_bounds.minimize", True),
 ]
 

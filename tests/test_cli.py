@@ -146,6 +146,17 @@ class TestWitnessCommand:
         assert code == 1
         assert "needed n" in err or "needs n" in err
 
+    def test_float64_range_refusal_exit_1(self, capsys):
+        # the plan succeeds; building its vector, whose entries reach
+        # exp(1061), is what is refused
+        code, out, err = run_cli(capsys, "witness", "--k", "4", "--eps", "1e-3")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "capacity error: witness for k=4, eps=0.001 needs entries up to "
+            "exp(1061.0), beyond float64 range (needed n = 25220)\n"
+        )
+
     @pytest.mark.parametrize("eps", ["1e-320", "5e-324"])
     def test_subnormal_eps_is_capacity_error(self, capsys, eps):
         # 2 delta / eps overflows to inf, which int() cannot convert

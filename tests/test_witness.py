@@ -80,9 +80,8 @@ class TestPlanWitness:
         assert n_small_eps == pytest.approx(10 * n_big_eps, rel=0.25)
 
     def test_mid_certificate_holds_for_each_plan(self):
-        # k = 4 at eps = 0.001 would need entries beyond exp(700); skip it
         cases = [(k, eps) for k in (2, 3, 4) for eps in (0.1, 0.01)]
-        cases += [(2, 0.001), (3, 0.001)]
+        cases += [(2, 0.001), (3, 0.001), (4, 0.001)]
         for k, eps in cases:
             sol = solve_tangent(k)
             spec = plan_witness(k, eps, sol)
@@ -91,10 +90,11 @@ class TestPlanWitness:
             assert mid < sol.gamma + eps / 2
 
     def test_float_range_guard(self):
-        # the k = 4, eps = 1e-3 witness would need entries near exp(1061)
-        sol = solve_tangent(4)
-        with pytest.raises(CapacityError):
-            plan_witness(4, 1e-3, sol)
+        # the k = 4, eps = 1e-3 witness plans; only its entries, near
+        # exp(1061), are beyond float64 range
+        spec = plan_witness(4, 1e-3, solve_tangent(4))
+        with pytest.raises(CapacityError, match=r"exp\(1061\.0\), beyond float64 range"):
+            build_witness(spec)
 
     def test_delta_and_slack_sizing(self):
         sol = solve_tangent(2)
@@ -104,12 +104,20 @@ class TestPlanWitness:
         assert spec.delta / spec.n < 0.01 / 2
 
     def test_built_spec_beyond_float64_range_is_refused(self):
-        # a valid spec that plan_witness refuses: its peak entry is exp(1807.9)
+        # a valid spec whose peak entry is exp(1807.9): it cannot be built,
+        # but its closed-form value still certifies
         spec = WitnessSpec(2, 42014, 18006, solve_tangent(2).a, 1e-4)
-        for build in (build_witness, witness_value_and_bound):
-            with pytest.raises(CapacityError, match=r"exp\(1807\.9\), beyond float64 range") as err:
-                build(spec)
-            assert err.value.required_n == 42014
+        with pytest.raises(CapacityError, match=r"exp\(1807\.9\), beyond float64 range") as err:
+            build_witness(spec)
+        assert err.value.required_n == 42014
+        assert witness_value_and_bound(spec).certified
+
+    def test_every_certify_grid_pair_plans_and_certifies(self):
+        # the benchmark's certify grid; 13 of these 20 cannot be built
+        for k in (2, 3, 4, 5, 6):
+            for eps in (1e-2, 1e-3, 1e-4, 1e-5):
+                spec = plan_witness(k, eps, solve_tangent(k))
+                assert witness_value_and_bound(spec).certified, (k, eps)
 
     def test_capacity_error_reports_needed_n(self):
         sol = solve_tangent(2)
@@ -330,6 +338,28 @@ class TestValueAndBound:
         spec = plan_witness(3, 0.005, sol)
         report = witness_value_and_bound(spec)
         assert report.value < sol.gamma + 0.005
+
+    # every spec of this grid that build_witness can materialize; the other
+    # seven, (4..8, 0.001) and (7..8, 0.003), leave float64 range
+    BUILDABLE = [
+        (k, eps)
+        for k in range(2, 9)
+        for eps in (0.1, 0.03, 0.01, 0.003, 0.001)
+        if not (eps == 0.001 and k >= 4 or eps == 0.003 and k >= 7)
+    ]
+
+    @pytest.mark.parametrize("k, eps", BUILDABLE)
+    def test_closed_form_matches_built_vector(self, k, eps):
+        spec = plan_witness(k, eps, solve_tangent(k))
+        built = k / spec.n * diananda_sum(build_witness(spec), k)
+        assert witness_value_and_bound(spec).value == pytest.approx(built, rel=1e-15, abs=0)
+
+    def test_unbuildable_specs_are_the_listed_ones(self):
+        for k in range(2, 9):
+            for eps in (0.1, 0.03, 0.01, 0.003, 0.001):
+                if (k, eps) not in self.BUILDABLE:
+                    with pytest.raises(CapacityError, match="beyond float64 range"):
+                        build_witness(plan_witness(k, eps, solve_tangent(k)))
 
     def test_monotone_certification(self):
         for k in (2, 3):
