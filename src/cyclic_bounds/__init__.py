@@ -50,7 +50,7 @@ __version__ = "0.1.0"
 _LAZY = {
     **dict.fromkeys(
         ("BlockDiagnostics", "CyclicVector", "as_cyclic_vector", "baston_sum",
-         "block_diagnostics", "diananda_sum", "replicate", "vector_to_lines", "zero_insert"),
+         "block_diagnostics", "diananda_sum", "replicate", "zero_insert"),
         "sums",
     ),
     **dict.fromkeys(

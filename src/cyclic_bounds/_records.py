@@ -1,4 +1,8 @@
-"""CSV and JSON text for the package's records, and the digit contract they share.
+"""CSV and JSON text for what the CLI prints, and the digit contract it follows.
+
+Only `cli` (every subcommand's table and record) and `verification` (the
+report that `verify` prints and the benchmark compares) use this module; the
+numeric layers return plain records and know no output format.
 
 Floats print with 17 significant digits, so every value round-trips, except
 the field named gamma (the tangent intercept), which carries 12.  A field

@@ -1,4 +1,4 @@
-"""Headline table: the floor and ceiling of each family index, and its serializers.
+"""Headline table: the floor and ceiling of each family index.
 
 Each row brackets the large-n infimum constant for one k between the
 closed-form floor k (2^{1/k} - 1) and the common-tangent ceiling gamma_k.
@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
-from ._records import csv_table, json_text, record
 from .funcs import INFINITY, lower_bound_theorem2
 from .tangent import solve_tangent
 
-__all__ = ["BoundsRow", "bounds_table", "bounds_table_csv", "bounds_table_json"]
+__all__ = ["BoundsRow", "bounds_table"]
 
 
 @dataclass(frozen=True)
@@ -32,11 +30,11 @@ class BoundsRow:
 
 def bounds_table(k_max: int) -> list[BoundsRow]:
     """Rows for k = 2..k_max plus the limit row (inf, ln 2, gamma_inf)."""
-    k_max = int(k_max)
-    if k_max < 2:
-        raise ValueError(f"k_max must be >= 2, got {k_max}")
+    ki = int(k_max)
+    if ki != k_max or ki < 2:
+        raise ValueError(f"k_max must be an integer >= 2, got {k_max!r}")
     rows = []
-    for k in range(2, k_max + 1):
+    for k in range(2, ki + 1):
         lower = lower_bound_theorem2(k)
         upper = solve_tangent(k).gamma
         rows.append(BoundsRow(k=float(k), lower=lower, upper=upper, gap=upper - lower))
@@ -46,15 +44,3 @@ def bounds_table(k_max: int) -> list[BoundsRow]:
         BoundsRow(k=math.inf, lower=lim_lower, upper=lim_upper, gap=lim_upper - lim_lower)
     )
     return rows
-
-
-_FIELDS = "k lower upper gap"
-
-
-def bounds_table_csv(rows: Sequence[BoundsRow]) -> str:
-    return csv_table(_FIELDS, [record(r, _FIELDS) for r in rows])
-
-
-def bounds_table_json(rows: Sequence[BoundsRow]) -> str:
-    return json_text([record(r, _FIELDS) for r in rows])
-

@@ -4,6 +4,8 @@ Exit codes: 0 success, 1 computational or file failure (diagnostic on
 stderr), 2 usage error.  All randomness flows from --seed, so identical
 invocations produce identical output.  Floats print with 17 significant digits
 in csv and json modes and 6 in text mode (the tangent intercept gamma keeps 12).
+The output formats live here: each subcommand names its fields, in output
+order, and `_records` renders them; the numeric layers return plain records.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ import sys
 
 # Module level binds only the scalar layers, which import no numpy; each
 # handler that computes arrays imports what it calls, at call time.
-from ._records import cell, json_text, record
-from .bounds import bounds_table, bounds_table_csv, bounds_table_json
+from ._records import cell, csv_table, json_text, record
+from .bounds import bounds_table
 from .errors import CapacityError, CyclicBoundsError
-from .tangent import _solution_fields, gamma_table_csv, gamma_table_json, solve_tangent
+from .tangent import solve_tangent
 from .witness import DEFAULT_N_CAP, plan_witness
 
 __all__ = ["main", "entry_point"]
@@ -87,10 +89,11 @@ def _cmd_bounds(parser, args) -> int:
     if not 2 <= args.k_max <= K_MAX_LIMIT:
         parser.error(f"--k-max must be in 2..{K_MAX_LIMIT}, got {args.k_max}")
     rows = bounds_table(args.k_max)
+    columns = "k lower upper gap"
     if args.format == "csv":
-        sys.stdout.write(bounds_table_csv(rows))
+        sys.stdout.write(csv_table(columns, [record(r, columns) for r in rows]))
     elif args.format == "json":
-        sys.stdout.write(bounds_table_json(rows) + "\n")
+        sys.stdout.write(json_text([record(r, columns) for r in rows]) + "\n")
     else:
         sys.stdout.write(f"{'k':>6}  {'lower':>10}  {'upper':>10}  {'gap':>10}\n")
         for r in rows:
@@ -105,12 +108,14 @@ def _cmd_tangent(parser, args) -> int:
     if not args.k >= 2.0:
         parser.error(f"--k must be >= 2 or 'inf', got {args.k}")
     sol = solve_tangent(args.k)
+    fields = {
+        "k": sol.idx, "a": sol.a, "b": sol.b, "gamma": sol.gamma, "lambda": sol.lam, "mu": sol.mu
+    }
     if args.format == "csv":
-        sys.stdout.write(gamma_table_csv([sol]))
+        sys.stdout.write(csv_table("k a b gamma lambda mu", [fields]))
     elif args.format == "json":
-        sys.stdout.write(gamma_table_json([sol]) + "\n")
+        sys.stdout.write(json_text([fields]) + "\n")
     else:
-        fields = _solution_fields(sol)
         fields["gamma"] = cell("gamma", sol.gamma)  # 12 digits in every format
         fields["residuals"] = "  ".join(format(r, ".3g") for r in sol.residuals)
         _write_text(fields, 6)
@@ -131,12 +136,10 @@ def _cmd_witness(parser, args) -> int:
     x = build_witness(spec)
     report = _value_and_bound(spec, x)
     if args.out:
-        from .sums import vector_to_lines
-
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(vector_to_lines(x))
+            fh.writelines(cell("x", v) + "\n" for v in x)
     if args.format == "json":
-        fields = {**spec.json_fields(), "m_prime": spec.m_prime}
+        fields = record(spec, "k n m a_star b_star eps delta m_prime")
         fields.update(record(report, "value analytic_bound gamma_plus_eps certified"))
         sys.stdout.write(json_text(fields) + "\n")
     else:
@@ -167,7 +170,11 @@ def _cmd_minimize(parser, args) -> int:
         restarts=args.restarts, seed=args.seed, max_iters=args.max_iters
     )
     result = minimize(args.n, args.k, cfg)
-    sys.stdout.write(result.to_json() + "\n")
+    fields = record(
+        result, "n k value certified_floor converged restarts_used converged_starts gradient_norm"
+    )
+    fields["x_best"] = list(result.x_best)
+    sys.stdout.write(json_text(fields) + "\n")
     return 0
 
 

@@ -31,7 +31,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._records import json_text, record
 from .errors import DomainError
 from .funcs import lower_bound_theorem2
 from .sums import CyclicVector, as_cyclic_vector, _check_window, _in_float64_range, _window_sums
@@ -100,9 +99,17 @@ def gradient(x: "CyclicVector | Sequence[float]", k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MinimizeConfig:
+    """Random starts, their generator's seed, and the iteration cap of each descent; all >= 0."""
+
     restarts: int = 8
     seed: int = 0
     max_iters: int = 600
+
+    def __post_init__(self) -> None:
+        for name in ("restarts", "seed", "max_iters"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -125,12 +132,6 @@ class MinimizationResult:
     converged_starts: int
     converged: bool
     gradient_norm: float
-
-    def to_json(self) -> str:
-        fields = record(
-            self, "n k value certified_floor converged restarts_used converged_starts gradient_norm"
-        )
-        return json_text({**fields, "x_best": list(self.x_best.entries)})
 
 
 def _objective(y: np.ndarray, k: int):

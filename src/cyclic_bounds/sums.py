@@ -29,7 +29,6 @@ __all__ = [
     "replicate",
     "zero_insert",
     "block_diagnostics",
-    "vector_to_lines",
 ]
 
 
@@ -309,13 +308,3 @@ def block_diagnostics(x: "CyclicVector | Sequence[float]", k: int) -> BlockDiagn
     terms = _cyclic_terms(a, k, 1, " while evaluating the block diagnostics")
     partials = terms.reshape(nu, k).sum(axis=1)
     return BlockDiagnostics(k=k, nu=nu, ratios=ratios, partials=partials)
-
-
-# ---------------------------------------------------------------------------
-# serialization (17 significant digits on output)
-# ---------------------------------------------------------------------------
-
-def vector_to_lines(x: "CyclicVector | Sequence[float]") -> str:
-    """One value per line, trailing newline included."""
-    v = as_cyclic_vector(x)
-    return "".join(format(e, ".17g") + "\n" for e in v.entries)

@@ -11,7 +11,8 @@ scalar equation in a,
 which is solved here by a bracketed scan plus bisection plus a secant polish.
 The returned gamma is the ceiling constant of the large-n analysis; the
 piecewise function (kernel, tangent line, exponential) is the convex minorant
-of min(exp(-x), g_k(x)).
+of min(exp(-x), g_k(x)).  A solution is a frozen record; which of its fields
+print, and with how many digits, is the CLI's choice.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
 
-from ._records import csv_table, json_text
 from .errors import (
     AmbiguousBracketError,
     DegenerateFamilyError,
@@ -33,8 +32,6 @@ from .funcs import eval_g, eval_g_derivative
 __all__ = [
     "TangentSolution",
     "solve_tangent",
-    "gamma_table_csv",
-    "gamma_table_json",
 ]
 
 # Empirical search window for the left tangency abscissa; revisit if some
@@ -183,20 +180,3 @@ def _solve_tangent(k: float) -> TangentSolution:
     if max(sol.residuals) > _TOL:
         raise SolverError(f"tangency residual {max(sol.residuals)} exceeds tolerance {_TOL}")
     return sol
-
-
-_COLUMNS = "k a b gamma lambda mu"
-
-
-def _solution_fields(r: TangentSolution) -> dict:
-    return dict(zip(_COLUMNS.split(), (r.idx, r.a, r.b, r.gamma, r.lam, r.mu)))
-
-
-def gamma_table_csv(rows: Sequence[TangentSolution]) -> str:
-    """CSV serialization, header k,a,b,gamma,lambda,mu; gamma carries 12 significant digits."""
-    return csv_table(_COLUMNS, map(_solution_fields, rows))
-
-
-def gamma_table_json(rows: Sequence[TangentSolution]) -> str:
-    """JSON records mirroring the CSV columns."""
-    return json_text([_solution_fields(r) for r in rows])

@@ -24,11 +24,11 @@ valid spec whose entries would leave float64 range.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from ._records import json_text, record
 from .errors import CapacityError, InvalidSpecError, SolverError
 from .funcs import eval_g
 from .tangent import TangentSolution, _mixed_value, solve_tangent
@@ -62,7 +62,8 @@ class WitnessSpec:
     mu_star = m/n, b_star, delta, analytic_bound (the certificate's middle
     term) and gamma_plus_eps.  Construction raises InvalidSpecError unless
     k >= 2, k | m, k | n, 0 < m < n, a_star < 0, 0 < eps < inf and the
-    mid-certificate (1-mu*) exp(-b*) + mu* g_k(a*) < gamma_k + eps/2 holds.
+    mid-certificate (1-mu*) exp(-b*) + mu* g_k(a*) < gamma_k + eps/2 holds,
+    and CapacityError when n is beyond float range.
     """
 
     k: int
@@ -85,6 +86,10 @@ class WitnessSpec:
             raise InvalidSpecError(f"need 0 < m < n, got m={m}, n={n}")
         if n % k != 0 or m % k != 0:
             raise InvalidSpecError(f"both m={m} and n={n} must be divisible by k={k}")
+        if n > sys.float_info.max:  # delta / n and the abscissas need n, m as floats
+            raise CapacityError(
+                f"witness for k={k}, eps={eps} needs n beyond float range", required_n=n
+            )
         mu = Fraction(m, n)
         b = _right_abscissa(a, mu.numerator, mu.denominator)
         if not (a < 0.0 < b):
@@ -100,13 +105,6 @@ class WitnessSpec:
                        analytic_bound=mix + delta / n, gamma_plus_eps=gamma + eps)
         for name, value in derived.items():
             object.__setattr__(self, name, value)
-
-    def json_fields(self) -> dict:
-        """The fields of the JSON record, in output order."""
-        return record(self, "k n m a_star b_star eps delta")
-
-    def to_json(self) -> str:
-        return json_text(self.json_fields())
 
 
 @dataclass(frozen=True)
@@ -163,7 +161,7 @@ def plan_witness(
     making delta/n < eps/2.
 
     Raises CapacityError only when the needed n exceeds n_cap, or when a
-    subnormal eps puts it beyond float range; a plan whose entries would leave
+    tiny eps puts it beyond float range; a plan whose entries would leave
     float64 range is still returned, since only build_witness needs them.
     """
     ki = int(k)

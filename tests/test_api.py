@@ -6,7 +6,9 @@ name, so every listed name must resolve in its module.  The package and the
 scalar commands load no numpy; only the array layer does.
 """
 
+import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -26,7 +28,7 @@ PACKAGE_API = {
     "INFINITY", "eval_f", "eval_f_derivative", "eval_g", "eval_g_derivative", "eval_p",
     "lower_bound_theorem2",
     "BlockDiagnostics", "CyclicVector", "as_cyclic_vector", "baston_sum", "block_diagnostics",
-    "diananda_sum", "replicate", "vector_to_lines", "zero_insert",
+    "diananda_sum", "replicate", "zero_insert",
     "TangentSolution", "solve_tangent",
     "WitnessReport", "WitnessSpec", "build_witness", "plan_witness", "witness_value_and_bound",
     "MinimizationResult", "MinimizeConfig", "grid_oracle", "gradient", "minimize",
@@ -72,7 +74,7 @@ def test_package_exports_exactly_the_public_api():
 def test_bounds_and_optimize_list_only_their_current_api():
     from cyclic_bounds import bounds, optimize
 
-    assert set(bounds.__all__) == {"BoundsRow", "bounds_table", "bounds_table_csv", "bounds_table_json"}
+    assert set(bounds.__all__) == {"BoundsRow", "bounds_table"}
     assert set(optimize.__all__) == {
         "MinimizeConfig", "MinimizationResult", "gradient", "minimize", "grid_oracle"
     }
@@ -91,3 +93,15 @@ def test_numpy_loads_only_with_the_array_layer():
     namespace = {}
     exec("from cyclic_bounds import *", namespace)
     assert set(namespace) - {"__builtins__"} == PACKAGE_API
+
+
+def test_numeric_layers_know_no_output_format():
+    # the fields, their order and their digits are the CLI's choice
+    for layer in ("funcs", "sums", "tangent", "witness", "optimize", "bounds"):
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"cyclic_bounds.{layer}")))
+        imported = [
+            name
+            for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            for name in (getattr(node, "module", None) or "", *(a.name for a in node.names))
+        ]
+        assert not any(name.endswith("_records") for name in imported), layer

@@ -1,4 +1,4 @@
-"""Tests for the floor/ceiling table and its serializers."""
+"""Tests for the floor/ceiling table and the CLI's csv and json forms of it."""
 
 import json
 import math
@@ -6,7 +6,12 @@ import math
 import pytest
 
 from cyclic_bounds import bounds_table
-from cyclic_bounds.bounds import bounds_table_csv, bounds_table_json
+from cyclic_bounds.cli import main
+
+
+def bounds_out(capsys, fmt):
+    assert main(["bounds", "--k-max", "3", "--format", fmt]) == 0
+    return capsys.readouterr().out
 
 
 class TestBoundsTable:
@@ -45,19 +50,20 @@ class TestBoundsTable:
         assert uppers[-1] > rows[-1].upper
 
     def test_k_max_validation(self):
-        with pytest.raises(ValueError):
-            bounds_table(1)
+        for k_max in (1, 3.9):  # 3.9 was truncated to the rows for k = 2, 3
+            with pytest.raises(ValueError, match="k_max must be an integer >= 2"):
+                bounds_table(k_max)
 
-    def test_csv_format(self):
-        text = bounds_table_csv(bounds_table(3))
+    def test_csv_format(self, capsys):
+        text = bounds_out(capsys, "csv")
         lines = text.strip().split("\n")
         assert lines[0] == "k,lower,upper,gap"
         assert lines[1].startswith("2,")
         assert lines[-1].startswith("inf,")
         assert "\r" not in text
 
-    def test_json_format(self):
-        recs = json.loads(bounds_table_json(bounds_table(3)))
+    def test_json_format(self, capsys):
+        recs = json.loads(bounds_out(capsys, "json"))
         assert recs[0]["k"] == 2
         assert recs[-1]["k"] == "inf"
         assert recs[-1]["lower"] == pytest.approx(math.log(2), rel=1e-15)

@@ -165,6 +165,14 @@ class TestWitnessCommand:
         assert out == ""
         assert err.startswith("capacity error:")
 
+    def test_n_beyond_float_range_is_capacity_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "witness", "--k", "2", "--eps", "2.3e-308", "--n-cap", "1" + "0" * 400
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("capacity error: witness for k=2, eps=2.3e-308 needs n beyond")
+
     def test_n_cap_refusal_exit_1(self, capsys):
         code, out, err = run_cli(
             capsys, "witness", "--k", "2", "--eps", "0.01", "--n-cap", "100"
@@ -269,7 +277,9 @@ class TestMinimizeCommand:
         code, out, _ = run_cli(capsys, *argv, "--max-iters", "0")
         assert code == 0
         want = minimize(14, 2, MinimizeConfig(restarts=2, seed=0, max_iters=0))
-        assert out == want.to_json() + "\n"
+        rec = json.loads(out)
+        assert rec.pop("x_best") == want.x_best.entries.tolist()
+        assert rec == {name: getattr(want, name) for name in rec}
         # Shapiro's n = 14 dips below 1 only after descending, so the flag shows
         assert out != run_cli(capsys, *argv)[1]
 

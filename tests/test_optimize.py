@@ -250,15 +250,28 @@ class TestMinimize:
         assert minimize(6, 2, cfg).value == pytest.approx(1.0, abs=1e-4)
         assert minimize(9, 3, cfg).value == pytest.approx(1.0, abs=1e-4)
 
+    @pytest.mark.parametrize("field", ["restarts", "seed", "max_iters"])
+    def test_negative_config_field_rejected(self, field):
+        # restarts=-1 ran 2 starts, max_iters=-5 ran 0 iterations, seed=-1 leaked numpy's error
+        with pytest.raises(ValueError, match=f"^{field} must be >= 0, got -1$"):
+            MinimizeConfig(**{field: -1})
+
     def test_bad_shape_rejected(self):
         with pytest.raises(DomainError):
             minimize(2, 3)
         with pytest.raises(DomainError):
             minimize(3, 0)
 
-    def test_json_serialization(self):
+    def test_json_serialization(self, capsys):
+        from cyclic_bounds.cli import main
+
         res = minimize(4, 2, MinimizeConfig(restarts=2, seed=0))
-        rec = json.loads(res.to_json())
+        assert main(["minimize", "--n", "4", "--k", "2", "--restarts", "2", "--seed", "0"]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert list(rec) == [
+            "n", "k", "value", "certified_floor", "converged", "restarts_used",
+            "converged_starts", "gradient_norm", "x_best",
+        ]
         assert rec["n"] == 4 and rec["k"] == 2
         assert rec["value"] == pytest.approx(res.value, rel=1e-15)
         assert rec["certified_floor"] == pytest.approx(res.certified_floor, rel=1e-15)

@@ -21,8 +21,10 @@ from cyclic_bounds import (
     block_diagnostics,
     diananda_sum,
     lower_bound_theorem2,
+    build_witness,
+    plan_witness,
     replicate,
-    vector_to_lines,
+    solve_tangent,
     zero_insert,
 )
 from cyclic_bounds import sums
@@ -432,9 +434,14 @@ class TestFloat64Range:
 
 
 class TestSerialization:
-    def test_lines_round_trip(self):
-        xs = np.exp(np.random.default_rng(0).uniform(-5, 5, 20))
-        text = vector_to_lines(xs)
+    def test_lines_round_trip(self, tmp_path, capsys):
+        from cyclic_bounds.cli import main
+
+        path = tmp_path / "witness.txt"
+        assert main(["witness", "--k", "2", "--eps", "0.01", "--out", str(path)]) == 0
+        capsys.readouterr()
+        xs = build_witness(plan_witness(2, 0.01, solve_tangent(2))).entries
+        text = path.read_text()
         assert text.endswith("\n")
-        assert len(text.splitlines()) == 20
+        assert len(text.splitlines()) == xs.size
         assert np.array_equal([float(t) for t in text.split()], xs)

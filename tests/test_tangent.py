@@ -21,7 +21,7 @@ from cyclic_bounds import (
     lower_bound_theorem2,
     solve_tangent,
 )
-from cyclic_bounds.tangent import gamma_table_csv, gamma_table_json
+from cyclic_bounds.cli import main
 
 mp.dps = 60
 
@@ -237,21 +237,23 @@ class TestGammaTable:
         lams = [abs(r.lam) for r in rows]
         assert all(b < a for a, b in zip(lams, lams[1:]))
 
-    def test_csv_serialization(self):
-        rows = [solve_tangent(k) for k in [2, INFINITY]]
-        text = gamma_table_csv(rows)
-        lines = text.strip().split("\n")
-        assert lines[0] == "k,a,b,gamma,lambda,mu"
-        assert lines[1].startswith("2,")
-        assert lines[2].startswith("inf,")
-        gamma_field = lines[1].split(",")[3]
+    def test_csv_serialization(self, capsys):
+        lines = []
+        for k in ("2", "inf"):
+            assert main(["tangent", "--k", k, "--format", "csv"]) == 0
+            lines.append(capsys.readouterr().out.strip().split("\n"))
+        assert [header for header, _ in lines] == ["k,a,b,gamma,lambda,mu"] * 2
+        assert lines[0][1].startswith("2,")
+        assert lines[1][1].startswith("inf,")
+        gamma_field = lines[0][1].split(",")[3]
         assert gamma_field == "0.989133634447"  # 12 significant digits
 
-    def test_json_serialization(self):
+    def test_json_serialization(self, capsys):
         import json
 
-        rows = [solve_tangent(k) for k in [3]]
-        recs = json.loads(gamma_table_json(rows))
+        rows = [solve_tangent(3)]
+        assert main(["tangent", "--k", "3", "--format", "json"]) == 0
+        recs = json.loads(capsys.readouterr().out)
         assert recs[0]["k"] == 3
         assert recs[0]["lambda"] == pytest.approx(rows[0].lam, rel=1e-15)
         assert recs[0]["gamma"] == pytest.approx(rows[0].gamma, rel=1e-11)

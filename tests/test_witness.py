@@ -132,6 +132,13 @@ class TestPlanWitness:
         with pytest.raises(CapacityError, match="beyond float range"):
             plan_witness(2, eps, solve_tangent(2))
 
+    def test_n_beyond_float_range_is_capacity_error(self):
+        # eps just above the smallest normal float: 2 delta / eps stays finite,
+        # but n = k q s does not fit a float, which delta / n needs
+        with pytest.raises(CapacityError, match="needs n beyond float range") as err:
+            plan_witness(2, 2.3e-308, solve_tangent(2), n_cap=10**400)
+        assert err.value.required_n > 10**308
+
     def test_n_cap_refusal_reports_needed_n(self):
         with pytest.raises(CapacityError) as err:
             plan_witness(2, 0.01, solve_tangent(2), n_cap=100)
@@ -368,13 +375,17 @@ class TestValueAndBound:
                 report = witness_value_and_bound(plan_witness(k, eps, sol))
                 assert report.value < sol.gamma + eps
 
-    def test_spec_json_fields(self):
+    def test_spec_json_fields(self, capsys):
         import json
+
+        from cyclic_bounds.cli import main
 
         sol = solve_tangent(2)
         spec = plan_witness(2, 0.05, sol)
-        rec = json.loads(spec.to_json())
-        assert set(rec) == {"k", "n", "m", "a_star", "b_star", "eps", "delta"}
+        assert main(["witness", "--k", "2", "--eps", "0.05", "--format", "json"]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert list(rec)[:8] == ["k", "n", "m", "a_star", "b_star", "eps", "delta", "m_prime"]
+        assert list(rec)[8:] == ["value", "analytic_bound", "gamma_plus_eps", "certified"]
         assert rec["k"] == 2
         assert rec["n"] == spec.n
         assert rec["delta"] == pytest.approx(spec.delta, rel=1e-15)
