@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import _integer
 from .funcs import INFINITY, lower_bound_theorem2
 from .tangent import solve_tangent
 
@@ -30,9 +31,7 @@ class BoundsRow:
 
 def bounds_table(k_max: int) -> list[BoundsRow]:
     """Rows for k = 2..k_max plus the limit row (inf, ln 2, gamma_inf)."""
-    ki = int(k_max)
-    if ki != k_max or ki < 2:
-        raise ValueError(f"k_max must be an integer >= 2, got {k_max!r}")
+    ki = _integer("k_max", k_max, 2)
     rows = []
     for k in range(2, ki + 1):
         lower = lower_bound_theorem2(k)

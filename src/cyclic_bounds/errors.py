@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer-argument check."""
+
+from operator import index
 
 
 class CyclicBoundsError(Exception):
@@ -46,3 +48,20 @@ class CapacityError(CyclicBoundsError, RuntimeError):
 
 class InvalidSpecError(CyclicBoundsError, ValueError):
     """Witness plan violates one of its invariants."""
+
+
+def _integer(name: str, value, lo: int, hi: int | None = None, error: type = ValueError) -> int:
+    """value as an int in lo..hi (no upper end when hi is None), else raise error.
+
+    Python and numpy integers and integral floats are accepted; anything
+    else (2.5, inf, nan, a string) raises error naming the argument.  An
+    int is returned as it is, never through a float, so it may be of any size.
+    """
+    try:
+        ival = int(value) if isinstance(value, float) and value.is_integer() else index(value)
+    except TypeError:
+        ival = None
+    if ival is None or ival < lo or (hi is not None and ival > hi):
+        bound = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise error(f"{name} must be an integer {bound}, got {value!r}")
+    return ival

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import _integer
+
 __all__ = [
     "INFINITY",
     "eval_g",
@@ -31,7 +33,7 @@ __all__ = [
 
 INFINITY = math.inf
 
-# math.expm1 overflows (raises) once its result leaves float64 range; stay clear.
+# Largest exp() argument used directly (expm1 raises past float64 range); caps witness log-entries.
 _EXP_MAX = 700.0
 _LOG_FLOAT_MAX = 709.0
 
@@ -42,13 +44,6 @@ def _check_family(idx) -> float:
     if math.isnan(k) or k <= 0.0:
         raise ValueError(f"family index must be positive or INFINITY, got {idx!r}")
     return k
-
-
-def _check_order(k) -> int:
-    ki = int(k)
-    if ki != k or ki < 1:
-        raise ValueError(f"window order must be an integer >= 1, got {k!r}")
-    return ki
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +184,7 @@ def eval_f(k, t: float) -> float:
 
     f_k(0) = k (2^{1/k} - 1) is the floor of the normalized cyclic sum.
     """
-    ki = _check_order(k)
+    ki = _integer("k", k, 1)
     arg = _softplus(float(t)) / ki
     if arg > _EXP_MAX:
         return math.inf
@@ -198,7 +193,7 @@ def eval_f(k, t: float) -> float:
 
 def eval_f_derivative(k, t: float) -> float:
     """Closed form (1 + e^t)^{1/k} / (1 + e^{-t}); positive for all t."""
-    ki = _check_order(k)
+    ki = _integer("k", k, 1)
     t = float(t)
     sp = _softplus(t)
     arg = sp / ki + t - sp
@@ -212,6 +207,6 @@ def lower_bound_theorem2(k) -> float:
 
     Strictly above ln 2 for every k >= 1 and decreasing toward it.
     """
-    ki = _check_order(k)
+    ki = _integer("k", k, 1)
     return ki * math.expm1(math.log(2.0) / ki)
 

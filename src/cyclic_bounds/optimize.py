@@ -31,9 +31,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, WindowError, _integer
 from .funcs import lower_bound_theorem2
-from .sums import CyclicVector, as_cyclic_vector, _check_window, _in_float64_range, _window_sums
+from .sums import CyclicVector, as_cyclic_vector, _in_float64_range, _window_sums
 from .tangent import solve_tangent
 from .witness import _log_profile, _right_abscissa
 
@@ -88,7 +88,7 @@ def gradient(x: "CyclicVector | Sequence[float]", k: int) -> np.ndarray:
     sum_m x_m * grad_m = 0 holds at every point.
     """
     v = as_cyclic_vector(x)
-    k = _check_window(k, v.n)
+    k = _integer("k", k, 1, v.n, error=WindowError)
     a = v.entries
     if (a == 0.0).any():
         bad = int(np.nonzero(a == 0.0)[0][0])
@@ -99,7 +99,7 @@ def gradient(x: "CyclicVector | Sequence[float]", k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MinimizeConfig:
-    """Random starts, their generator's seed, and the iteration cap of each descent; all >= 0."""
+    """Random starts, their generator's seed and each descent's iteration cap; integers >= 0."""
 
     restarts: int = 8
     seed: int = 0
@@ -107,9 +107,7 @@ class MinimizeConfig:
 
     def __post_init__(self) -> None:
         for name in ("restarts", "seed", "max_iters"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
+            object.__setattr__(self, name, _integer(name, getattr(self, name), 0))
 
 
 @dataclass(frozen=True)
@@ -337,9 +335,8 @@ def minimize(n: int, k: int, config: MinimizeConfig | None = None) -> Minimizati
     for determinism.  A start that exhausts max_iters reports
     converged=False but still competes on value.
     """
-    n, k = int(n), int(k)
-    if k < 1 or n < k:
-        raise DomainError(f"need n >= k >= 1, got n={n}, k={k}")
+    k = _integer("k", k, 1, error=DomainError)
+    n = _integer("n", n, k, error=DomainError)
     cfg = config or MinimizeConfig()
     rng = np.random.default_rng(cfg.seed)
 
@@ -397,10 +394,8 @@ def grid_oracle(n: int, k: int) -> float:
     for bit `diananda_sum` at that point.  The factor k/n scales the minimum
     once: rounding is monotone, so that is the minimum of the scaled sums.
     """
-    n, k = int(n), int(k)
-    if n > 5:
-        raise DomainError(f"grid oracle is restricted to n <= 5, got n={n}")
-    k = _check_window(k, n)
+    n = _integer("n", n, 1, 5, error=DomainError)
+    k = _integer("k", k, 1, n, error=WindowError)
     lv = _default_levels(n)
     if n == 1:
         return float(k / n)  # single entry, sum is n/k by homogeneity

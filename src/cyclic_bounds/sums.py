@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, ShapeError, WindowError
+from .errors import CapacityError, DomainError, ShapeError, WindowError, _integer
 
 __all__ = [
     "CyclicVector",
@@ -143,13 +143,6 @@ def _in_float64_range(fn):
     return checked
 
 
-def _check_window(k: int, n: int) -> int:
-    k = int(k)
-    if k < 1 or k > n:
-        raise WindowError(f"window length {k} outside valid range 1..{n}")
-    return k
-
-
 # Columns per tile: 2^15 float64 entries (256 KB) keep a tile's accumulator
 # and the slices added into it resident in a 2 MB L2 cache over all k offsets.
 _TILE = 1 << 15
@@ -237,7 +230,7 @@ def diananda_sum(x: "CyclicVector | Sequence[float]", k: int) -> float:
     denominator window sums to zero.
     """
     v = as_cyclic_vector(x)
-    k = _check_window(k, v.n)
+    k = _integer("k", k, 1, v.n, error=WindowError)
     return float(_cyclic_terms(v.entries, k, 1, " while evaluating the cyclic sum").sum())
 
 
@@ -249,7 +242,7 @@ def baston_sum(x: "CyclicVector | Sequence[float]", k: int) -> float:
     lies in [0, 1].
     """
     v = as_cyclic_vector(x)
-    k = _check_window(k, v.n)
+    k = _integer("k", k, 1, v.n, error=WindowError)
     terms = _cyclic_terms(v.entries, k, 0, " while evaluating the self-including cyclic sum")
     return float(terms.sum())
 
@@ -264,9 +257,7 @@ def replicate(x: "CyclicVector | Sequence[float]", copies: int) -> CyclicVector:
     For every window length k valid for x, the normalized cyclic sum
     diananda_sum(., k) / len(.) is preserved exactly.
     """
-    copies = int(copies)
-    if copies < 1:
-        raise ValueError(f"copies must be >= 1, got {copies}")
+    copies = _integer("copies", copies, 1)
     v = as_cyclic_vector(x)
     return CyclicVector._adopt(np.tile(v.entries, copies))
 
@@ -278,7 +269,7 @@ def zero_insert(x: "CyclicVector | Sequence[float]", k: int) -> CyclicVector:
     and satisfies diananda_sum(result, k+1) == diananda_sum(x, k).
     """
     v = as_cyclic_vector(x)
-    k = _check_window(k, v.n)
+    k = _integer("k", k, 1, v.n, error=WindowError)
     if v.n % k != 0:
         raise ShapeError(f"length {v.n} is not divisible by window length {k}")
     nu = v.n // k
@@ -295,7 +286,7 @@ def block_diagnostics(x: "CyclicVector | Sequence[float]", k: int) -> BlockDiagn
     to diananda_sum(x, k) up to reordering of the same terms.
     """
     v = as_cyclic_vector(x)
-    k = _check_window(k, v.n)
+    k = _integer("k", k, 1, v.n, error=WindowError)
     if v.n % k != 0:
         raise ShapeError(f"length {v.n} is not divisible by window length {k}")
     a = v.entries

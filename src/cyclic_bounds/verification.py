@@ -15,6 +15,7 @@ from functools import partial
 import numpy as np
 
 from ._records import json_text, record
+from .errors import _integer
 from .funcs import (
     INFINITY,
     eval_f,
@@ -369,8 +370,9 @@ def run_verification(suite: str = "fast", seed: int = 0) -> VerificationReport:
     """Run the named suite ("fast" or "all"); all randomness flows from seed."""
     if suite not in ("fast", "all"):
         raise ValueError(f"unknown suite {suite!r}; expected 'fast' or 'all'")
+    seed = _integer("seed", seed, 0)
     groups = _ALL_GROUPS if suite == "all" else _FAST_GROUPS
     scale = 260 if suite == "all" else 60
     rng = np.random.default_rng(seed)
     results = tuple(fn(rng, scale) for fn in groups)
-    return VerificationReport(suite=suite, seed=int(seed), groups=results)
+    return VerificationReport(suite=suite, seed=seed, groups=results)

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import CapacityError, InvalidSpecError, SolverError
-from .funcs import eval_g
+from .errors import CapacityError, InvalidSpecError, SolverError, _integer
+from .funcs import _EXP_MAX, eval_g
 from .tangent import TangentSolution, _mixed_value, solve_tangent
 
 if TYPE_CHECKING:
@@ -49,10 +49,6 @@ __all__ = [
 
 DEFAULT_N_CAP = 10_000_000
 
-# Largest log-entry the built vector may carry; beyond this exp() leaves
-# float64 range and the vector cannot be materialized at all.
-_MAX_LOG_ENTRY = 700.0
-
 
 @dataclass(frozen=True)
 class WitnessSpec:
@@ -61,9 +57,10 @@ class WitnessSpec:
     Stored: k, n, m, a_star, eps.  Derived: m_prime = n - m, the exact
     mu_star = m/n, b_star, delta, analytic_bound (the certificate's middle
     term) and gamma_plus_eps.  Construction raises InvalidSpecError unless
-    k >= 2, k | m, k | n, 0 < m < n, a_star < 0, 0 < eps < inf and the
-    mid-certificate (1-mu*) exp(-b*) + mu* g_k(a*) < gamma_k + eps/2 holds,
-    and CapacityError when n is beyond float range.
+    k, n, m are integers (stored as ints), k >= 2, k | m, k | n, 0 < m < n,
+    a_star < 0, 0 < eps < inf and the mid-certificate
+    (1-mu*) exp(-b*) + mu* g_k(a*) < gamma_k + eps/2 holds, and CapacityError
+    when n is beyond float range.
     """
 
     k: int
@@ -79,11 +76,10 @@ class WitnessSpec:
     gamma_plus_eps: float = field(init=False)
 
     def __post_init__(self) -> None:
-        k, n, m, a, eps = self.k, self.n, self.m, self.a_star, self.eps
-        if k < 2:
-            raise InvalidSpecError(f"witness needs integer k >= 2, got {k}")
-        if n <= 0 or m <= 0 or m >= n:
-            raise InvalidSpecError(f"need 0 < m < n, got m={m}, n={n}")
+        k = _integer("k", self.k, 2, error=InvalidSpecError)
+        n = _integer("n", self.n, 2, error=InvalidSpecError)
+        m = _integer("m", self.m, 1, n - 1, error=InvalidSpecError)
+        a, eps = self.a_star, self.eps
         if n % k != 0 or m % k != 0:
             raise InvalidSpecError(f"both m={m} and n={n} must be divisible by k={k}")
         if n > sys.float_info.max:  # delta / n and the abscissas need n, m as floats
@@ -101,7 +97,7 @@ class WitnessSpec:
         if not mix < half:
             raise InvalidSpecError(f"mixed value {mix} is not below gamma + eps/2 = {half}")
         delta = _delta(k, a)
-        derived = dict(m_prime=n - m, mu_star=mu, b_star=b, delta=delta,
+        derived = dict(k=k, n=n, m=m, m_prime=n - m, mu_star=mu, b_star=b, delta=delta,
                        analytic_bound=mix + delta / n, gamma_plus_eps=gamma + eps)
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -164,9 +160,8 @@ def plan_witness(
     tiny eps puts it beyond float range; a plan whose entries would leave
     float64 range is still returned, since only build_witness needs them.
     """
-    ki = int(k)
-    if ki != k or ki < 2:
-        raise InvalidSpecError(f"witness needs integer k >= 2, got {k!r}")
+    ki = _integer("k", k, 2, error=InvalidSpecError)
+    n_cap = _integer("n_cap", n_cap, 1, error=InvalidSpecError)
     if not 0.0 < eps < math.inf:
         raise InvalidSpecError(f"eps must be positive and finite, got {eps}")
     if not (math.isfinite(sol.idx) and float(sol.idx) == ki):
@@ -209,7 +204,7 @@ def _check_float64_range(spec: WitnessSpec) -> None:
     The peak log-entry (m'/k) b* sits at the sparse/dense boundary.
     """
     peak = (spec.m_prime / spec.k) * spec.b_star
-    if peak > _MAX_LOG_ENTRY:
+    if peak > _EXP_MAX:
         raise CapacityError(
             f"witness for k={spec.k}, eps={spec.eps} needs entries up to "
             f"exp({peak:.1f}), beyond float64 range",

@@ -1,5 +1,8 @@
 """The public names of every layer resolve, and the package exports a fixed set.
 
+Every integer argument of the library goes through one check, so 2.5, inf,
+nan and "3" fail alike, naming the argument, and 2.0 or np.int64(2) act as 2.
+
 A name left in a layer's `__all__` after its object was deleted breaks
 `from cyclic_bounds.<layer> import *` and any tool that wraps each listed
 name, so every listed name must resolve in its module.  The package and the
@@ -9,14 +12,25 @@ scalar commands load no numpy; only the array layer does.
 import ast
 import importlib
 import inspect
+import math
 import os
+import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cyclic_bounds
+from cyclic_bounds import (
+    DomainError, InvalidSpecError, MinimizeConfig, WindowError, WitnessSpec, baston_sum,
+    block_diagnostics, bounds_table, diananda_sum, eval_f, eval_f_derivative, gradient,
+    grid_oracle, lower_bound_theorem2, minimize, plan_witness, replicate, solve_tangent,
+    zero_insert,
+)
+from cyclic_bounds.verification import run_verification
 
 LAYERS = ("funcs", "sums", "tangent", "witness", "optimize", "bounds", "verification", "cli")
 
@@ -105,3 +119,61 @@ def test_numeric_layers_know_no_output_format():
             for name in (getattr(node, "module", None) or "", *(a.name for a in node.names))
         ]
         assert not any(name.endswith("_records") for name in imported), layer
+
+
+X6 = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+SPEC3 = dict(k=3, n=1266, m=633, a_star=solve_tangent(3).a, eps=0.01)  # plan_witness(3, 0.01, ...)
+FAST = MinimizeConfig(restarts=0)
+
+# (site, call with the argument v, a valid v, exception class, argument name)
+INTEGER_SITES = [
+    ("eval_f", lambda v: eval_f(v, 0.3), 2, ValueError, "k"),
+    ("eval_f_derivative", lambda v: eval_f_derivative(v, 0.3), 2, ValueError, "k"),
+    ("lower_bound_theorem2", lower_bound_theorem2, 2, ValueError, "k"),
+    ("bounds_table", bounds_table, 2, ValueError, "k_max"),
+    ("plan_witness.k", lambda v: plan_witness(v, 0.01, solve_tangent(2)), 2, InvalidSpecError, "k"),
+    ("plan_witness.n_cap", lambda v: plan_witness(2, 0.01, solve_tangent(2), n_cap=v), 10**6,
+     InvalidSpecError, "n_cap"),
+    ("WitnessSpec.k", lambda v: WitnessSpec(**{**SPEC3, "k": v}), 3, InvalidSpecError, "k"),
+    ("WitnessSpec.n", lambda v: WitnessSpec(**{**SPEC3, "n": v}), 1266, InvalidSpecError, "n"),
+    ("WitnessSpec.m", lambda v: WitnessSpec(**{**SPEC3, "m": v}), 633, InvalidSpecError, "m"),
+    ("diananda_sum", lambda v: diananda_sum(X6, v), 2, WindowError, "k"),
+    ("baston_sum", lambda v: baston_sum(X6, v), 2, WindowError, "k"),
+    ("zero_insert", lambda v: zero_insert(X6, v), 2, WindowError, "k"),
+    ("block_diagnostics", lambda v: block_diagnostics(X6, v), 2, WindowError, "k"),
+    ("gradient", lambda v: gradient(X6, v), 2, WindowError, "k"),
+    ("replicate", lambda v: replicate(X6, v), 2, ValueError, "copies"),
+    ("minimize.n", lambda v: minimize(v, 2, FAST), 6, DomainError, "n"),
+    ("minimize.k", lambda v: minimize(6, v, FAST), 2, DomainError, "k"),
+    ("grid_oracle.n", lambda v: grid_oracle(v, 2), 3, DomainError, "n"),
+    ("grid_oracle.k", lambda v: grid_oracle(4, v), 2, WindowError, "k"),
+    ("MinimizeConfig.restarts", lambda v: MinimizeConfig(restarts=v), 2, ValueError, "restarts"),
+    ("MinimizeConfig.seed", lambda v: MinimizeConfig(seed=v), 2, ValueError, "seed"),
+    ("MinimizeConfig.max_iters", lambda v: MinimizeConfig(max_iters=v), 2, ValueError, "max_iters"),
+    ("run_verification", lambda v: run_verification("fast", v), 1, ValueError, "seed"),
+]
+
+
+@pytest.mark.parametrize("call, good, error, name", [row[1:] for row in INTEGER_SITES],
+                         ids=[row[0] for row in INTEGER_SITES])
+def test_one_integer_check_for_every_site(call, good, error, name):
+    # before the shared check these truncated 2.5, raised OverflowError on inf,
+    # accepted nan or raised a TypeError that named no argument
+    for bad in (2.5, math.inf, math.nan, "3"):
+        with pytest.raises(error) as err:
+            call(bad)
+        assert type(err.value) is error
+        assert re.fullmatch(rf"{name} must be an integer (>= \d+|in \d+\.\.\d+), got "
+                            + re.escape(repr(bad)), str(err.value)), str(err.value)
+    same = pickle.dumps(call(good))
+    assert pickle.dumps(call(float(good))) == same
+    assert pickle.dumps(call(np.int64(good))) == same
+
+
+def test_nan_cap_is_refused_and_integral_floats_are_stored_as_ints():
+    # n_cap=nan dropped the cap; n=1266.0 raised a TypeError from Fraction
+    with pytest.raises(InvalidSpecError, match=r"^n_cap must be an integer >= 1, got nan$"):
+        plan_witness(2, 1e-9, solve_tangent(2), n_cap=math.nan)
+    spec = WitnessSpec(**{**SPEC3, "k": 3.0, "n": 1266.0, "m": np.int64(633)})
+    assert spec == plan_witness(3, 0.01, solve_tangent(3))
+    assert (type(spec.k), type(spec.n), type(spec.m)) == (int, int, int)

@@ -51,7 +51,7 @@ class TestBoundsTable:
 
     def test_k_max_validation(self):
         for k_max in (1, 3.9):  # 3.9 was truncated to the rows for k = 2, 3
-            with pytest.raises(ValueError, match="k_max must be an integer >= 2"):
+            with pytest.raises(ValueError, match=rf"^k_max must be an integer >= 2, got {k_max}$"):
                 bounds_table(k_max)
 
     def test_csv_format(self, capsys):

@@ -253,7 +253,7 @@ class TestMinimize:
     @pytest.mark.parametrize("field", ["restarts", "seed", "max_iters"])
     def test_negative_config_field_rejected(self, field):
         # restarts=-1 ran 2 starts, max_iters=-5 ran 0 iterations, seed=-1 leaked numpy's error
-        with pytest.raises(ValueError, match=f"^{field} must be >= 0, got -1$"):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= 0, got -1$"):
             MinimizeConfig(**{field: -1})
 
     def test_bad_shape_rejected(self):
