@@ -383,16 +383,29 @@ def grid_oracle(n: int, k: int) -> float:
     n <= 5, so at most 39^4 points are evaluated.
 
     Coordinates 1..n-2 each vary along their own broadcast axis and the last
-    one is looped over: one slab of 39^(n-2) <= 59319 points (about 475 KB)
-    per grid value, and no array is larger than one slab.  Term i,
+    one is looped over: one slab of at most 39^(n-2) <= 59319 points (about
+    475 KB) per grid value, and no array is larger than one slab.  Term i,
     x_i / (0.0 + x_{i+1} + ... + x_{i+k}), is built only on the axes it
     depends on, its denominator added in the order d = 1..k.  What does not
     involve x_{n-1} (each denominator up to where x_{n-1} enters, and the
     whole terms i < n-1-k) is computed once; the rest is written into output
     buffers, one per broadcast shape, that every slab reuses.  The terms are
-    added into the slab over i = 0..n-1 from 0.0, so each point's sum is bit
-    for bit `diananda_sum` at that point.  The factor k/n scales the minimum
-    once: rounding is monotone, so that is the minimum of the scaled sums.
+    added over i = 0..n-1 from 0.0, so each point's sum is bit for bit
+    `diananda_sum` at that point.
+
+    A coordinate retires once no later term reads it: x_j for k <= j < n-1
+    is last read by term j, and right after that term is added the running
+    sum is replaced by its minimum over x_j's axis.  Axes are laid out in the
+    order their coordinates retire, the first outermost, where numpy reduces
+    fastest.  This is exact.  Rounding to nearest is monotone, a <= b implies
+    fl(a + c) <= fl(b + c), so a minimum over x_j commutes with every later
+    addition of a term that does not read x_j, and the result has the same
+    bits as one minimum taken at the end.  The once-computed prefix always
+    retires; a slab retires only while its sum has more than 39^2 entries,
+    below which the reduction costs more than the smaller additions save.
+    Scalar denominators stay Python floats, whose additions round the same
+    way.  The factor k/n scales the minimum once, which by the same
+    monotonicity is the minimum of the scaled sums.
     """
     n = _integer("n", n, 1, 5, error=DomainError)
     k = _integer("k", k, 1, n, error=WindowError)
@@ -401,39 +414,56 @@ def grid_oracle(n: int, k: int) -> float:
         return float(k / n)  # single entry, sum is n/k by homogeneity
 
     last = n - 1
-    # x[j] varies along axis j - 1 for j = 1..n-2; x[last] is set per slab
-    x = [1.0] + [lv.reshape((-1,) + (1,) * (n - 2 - j)) for j in range(1, last)] + [1.0]
-    bufs: dict = {}  # one output buffer per broadcast shape
+    # Term i reads x_i..x_{i+k}, so x_j is read last by term j when k <= j < last
+    # and by the last term otherwise.  x[j] varies along axis[j], in the order
+    # the coordinates retire; x[last] is set per slab.
+    axis = {j: a for a, j in enumerate([*range(k, last), *range(1, min(k, last))])}
+    x = [1.0] + [lv.reshape((-1,) + (1,) * (n - 3 - axis[j])) for j in range(1, last)] + [1.0]
+    bufs: dict = {}  # one output buffer per broadcast shape for the terms,
+    sums: dict = {}  # and one per shape of the running sum; a scalar needs none
 
-    def buffer(*operands) -> np.ndarray:
-        shape = np.broadcast_shapes(*map(np.shape, operands))
-        return bufs.setdefault(shape, np.empty(shape))
+    def buffer(shape: tuple, pool: dict = bufs) -> Optional[np.ndarray]:
+        if shape and shape not in pool:
+            pool[shape] = np.empty(shape)
+        return pool.get(shape)
 
     base = 0.0  # sum of the terms i < n - 1 - k, which never involve x_{n-1}
-    terms = []  # (i, denominator head, (j, buffer) per later window entry, quotient buffer)
+    summed = ()  # shape of the running sum
+    terms = []  # (i, head, (j, buffer) per later entry, quotient, sum, retired axis, its minimum)
     for i in range(n):
         window = [(i + d) % n for d in range(1, k + 1)]
         cut = window.index(last) if last in window else k
         head = 0.0
         for j in window[:cut]:
             head = head + x[j]
+        retire = axis[i] if k <= i < last else None
         if i < last - k:
             base = base + x[i] / head
+            if retire is not None:
+                base = np.minimum.reduce(base, axis=retire, keepdims=True)
+            summed = base.shape
             continue
-        steps, partial = [], head
+        steps, partial = [], np.shape(head)
         for j in window[cut:]:
-            partial = buffer(partial, x[j])
-            steps.append((j, partial))
-        terms.append((i, head, steps, buffer(partial, x[i])))
+            partial = np.broadcast_shapes(partial, np.shape(x[j]))
+            steps.append((j, buffer(partial)))
+        quotient = np.broadcast_shapes(partial, np.shape(x[i]))
+        summed = np.broadcast_shapes(summed, quotient)
+        out, low = buffer(summed, sums), None
+        if retire is not None and math.prod(summed) > lv.size**2:
+            summed = summed[:retire] + (1,) + summed[retire + 1 :]
+            low = buffer(summed, sums)
+        terms.append((i, head, steps, buffer(quotient), out, retire, low))
 
-    slab = np.empty((lv.size,) * (n - 2))
     best = math.inf
-    for value in lv:
+    for value in lv.tolist():
         x[last] = value
-        slab[...] = base
-        for i, denom, steps, out in terms:
+        total = base
+        for i, denom, steps, quotient, out, retire, low in terms:
             for j, buf in steps:
-                denom = np.add(denom, x[j], out=buf)
-            slab += np.divide(x[i], denom, out=out)
-        best = min(best, float(slab.min()))
+                denom = denom + x[j] if buf is None else np.add(denom, x[j], out=buf)
+            total = np.add(total, np.divide(x[i], denom, out=quotient), out=out)
+            if low is not None:
+                total = np.minimum.reduce(total, retire, None, low, True)
+        best = min(best, float(total.min()))
     return (k / n) * best

@@ -7,6 +7,7 @@ for the gradient, and the exhaustive grid itself for the minimizer.
 import hashlib
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -347,6 +348,34 @@ class TestGridOracle:
     @pytest.mark.parametrize("n,k", GRID_PAIRS, ids=[f"n{n}-k{k}" for n, k in GRID_PAIRS])
     def test_bits_match_chunked_reference(self, n, k):
         assert grid_oracle(n, k).hex() == _chunked_grid_oracle(n, k).hex()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bits_match_chunked_reference_off_the_uniform_point(self, monkeypatch, seed):
+        # On the default grid every minimum is the uniform point's 1.0 or a few
+        # ulps below it.  Nine log-uniform levels on [e^-7, e^7], none of them
+        # 1.0, move most minima well off 1, so the order in which the oracle
+        # adds terms and takes minima decides the bits it returns.
+        levels = np.sort(np.exp(np.random.default_rng(seed).uniform(-7.0, 7.0, 9)))
+        assert not (levels == 1.0).any()
+        monkeypatch.setattr(optimize, "_default_levels", lambda n: levels)
+        monkeypatch.setitem(globals(), "_default_levels", lambda n: levels)
+        got = [grid_oracle(n, k).hex() for n, k in GRID_PAIRS]
+        assert got == [_chunked_grid_oracle(n, k).hex() for n, k in GRID_PAIRS]
+        assert sum(float.fromhex(h) > 1.0 + 1e-6 for h in got) >= 9
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_peak_memory_is_a_few_slabs(self, k):
+        # One 39^3 float64 slab is 475 KB; a 39^4 array would be 18.5 MB.
+        grid_oracle(5, k)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            grid_oracle(5, k)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2e6
 
     def test_nesbitt_scale(self):
         # the fixed 39-value geometric grid on [1e-3, 1e3] holds the uniform point

@@ -331,7 +331,7 @@ def untiled_sum(a, k, shift, context):
 T = sums._TILE
 TILED_CASES = [
     (n, k)
-    for k in (1, 2, 3, 10, 100)
+    for k in (1, 2, 3, 7, 8, 10, 100)
     for n in (1, 2, T - 1, T, T + 1, 2 * T + k, 100003)
     if k <= n
 ]
@@ -370,9 +370,11 @@ class TestTiledKernel:
         want = untiled_sum(b, k, 0, " while evaluating the self-including cyclic sum")
         assert baston_sum(b, k).hex() == want.hex()
         m = n - n % k
-        partials = block_diagnostics(b[:m], k).partials
+        diag = block_diagnostics(b[:m], k)
         ref = untiled_terms(b[:m], k, 1, "").reshape(m // k, k).sum(axis=1)
-        assert partials.tobytes() == ref.tobytes()
+        assert diag.partials.tobytes() == ref.tobytes()
+        blocks = b[:m].reshape(m // k, k).sum(axis=1)
+        assert diag.ratios.tobytes() == (blocks / np.roll(blocks, -1)).tobytes()
 
     @pytest.mark.parametrize("k", [1, 3, 100])
     @pytest.mark.parametrize("where", ["first tile", "tile boundary", "next tile", "wrapped tail"])
