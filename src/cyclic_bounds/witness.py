@@ -19,6 +19,18 @@ Planning and evaluation are pure Python and O(k): the value is computed from
 the closed form, without building the vector.  numpy is imported only by
 the functions that build or sum the vector, and only build_witness refuses a
 valid spec whose entries would leave float64 range.
+
+Nothing but the scan's threshold and the scale depends on eps, so the rest
+is memoized in bounded caches, keyed by the values each computation reads:
+
+    _cached_convergents(mu_k)  the continued-fraction convergents p/q of mu_k
+    _mid_value(k, mu*, a*, b*) the mid-certificate (1-mu*) e^{-b*} + mu* g_k(a*)
+    _kernel_constants(k, a*)   g_k(a*), delta and expm1(-a*/k)
+
+The scan evaluates a mid value only when it reaches its convergent, so a
+first plan costs no more than an uncached one, and a hand-built tangent
+solution for the same k with another a* gets its own entries.  Cached or
+not, every result has the same bits.
 """
 
 from __future__ import annotations
@@ -27,6 +39,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import CapacityError, InvalidSpecError, SolverError, _integer
@@ -58,7 +71,8 @@ class WitnessSpec:
     mu_star = m/n, b_star, delta, analytic_bound (the certificate's middle
     term) and gamma_plus_eps.  Construction raises InvalidSpecError unless
     k, n, m are integers (stored as ints), k >= 2, k | m, k | n, 0 < m < n,
-    a_star < 0, 0 < eps < inf and the mid-certificate
+    a_star is a real number (stored as float(a_star)) below 0,
+    0 < eps < inf and the mid-certificate
     (1-mu*) exp(-b*) + mu* g_k(a*) < gamma_k + eps/2 holds, and CapacityError
     when n is beyond float range.
     """
@@ -79,7 +93,11 @@ class WitnessSpec:
         k = _integer("k", self.k, 2, error=InvalidSpecError)
         n = _integer("n", self.n, 2, error=InvalidSpecError)
         m = _integer("m", self.m, 1, n - 1, error=InvalidSpecError)
-        a, eps = self.a_star, self.eps
+        try:  # a float key for the caches below, also for a 0-d numpy array
+            a = float(self.a_star)
+        except (TypeError, ValueError):
+            raise InvalidSpecError(f"a_star must be a real number, got {self.a_star!r}") from None
+        eps = self.eps
         if n % k != 0 or m % k != 0:
             raise InvalidSpecError(f"both m={m} and n={n} must be divisible by k={k}")
         if n > sys.float_info.max:  # delta / n and the abscissas need n, m as floats
@@ -93,14 +111,14 @@ class WitnessSpec:
         if not 0.0 < eps < math.inf:
             raise InvalidSpecError(f"eps must be positive and finite, got {eps}")
         gamma = solve_tangent(k).gamma
-        mix, half = _mixed_value(k, float(mu), a, b), gamma + eps / 2.0
+        # m / n is float(mu): int division rounds correctly
+        mix, half = _mid_value(k, m / n, a, b), gamma + eps / 2.0
         if not mix < half:
             raise InvalidSpecError(f"mixed value {mix} is not below gamma + eps/2 = {half}")
-        delta = _delta(k, a)
-        derived = dict(k=k, n=n, m=m, m_prime=n - m, mu_star=mu, b_star=b, delta=delta,
-                       analytic_bound=mix + delta / n, gamma_plus_eps=gamma + eps)
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        _, delta, _ = _kernel_constants(k, a)
+        # one write to the instance dict sets every field past the frozen __setattr__
+        vars(self).update(k=k, n=n, m=m, a_star=a, m_prime=n - m, mu_star=mu, b_star=b,
+                          delta=delta, analytic_bound=mix + delta / n, gamma_plus_eps=gamma + eps)
 
 
 @dataclass(frozen=True)
@@ -121,9 +139,19 @@ def _right_abscissa(a_star: float, p: int, q: int) -> float:
     return -a_star * p / (q - p)
 
 
-def _delta(k: int, a_star: float) -> float:
-    """delta = k^2 exp(-a*/k) - k g_k(a*); delta/n bounds what the k tail terms add."""
-    return k * k * math.exp(-a_star / k) - k * eval_g(k, a_star)
+@lru_cache(maxsize=256)
+def _kernel_constants(k: int, a_star: float) -> tuple[float, float, float]:
+    """g_k(a*), delta = k^2 exp(-a*/k) - k g_k(a*) and expm1(-a*/k).
+
+    delta/n bounds what the k tail terms add; the closed form reads g_k(a*)
+    and expm1(-a*/k).
+    """
+    g = eval_g(k, a_star)
+    return g, k * k * math.exp(-a_star / k) - k * g, math.expm1(-a_star / k)
+
+
+# room for about a hundred solutions' scans, which reach at most 41 convergents for k < 200
+_mid_value = lru_cache(maxsize=4096)(_mixed_value)
 
 
 def _convergents(x: float) -> list[tuple[int, int]]:
@@ -143,6 +171,10 @@ def _convergents(x: float) -> list[tuple[int, int]]:
         k, k_prev = a * k + k_prev, k
         out.append((h, k))
     return out
+
+
+# the scan only reads the list, so the cache can hand out the one it holds
+_cached_convergents = lru_cache(maxsize=256)(_convergents)
 
 
 def plan_witness(
@@ -169,15 +201,13 @@ def plan_witness(
             f"tangent solution is for index {sol.idx}, not for k = {ki}"
         )
 
-    a_star = sol.a
-    delta = _delta(ki, a_star)
-
-    for p, q in _convergents(sol.mu):
-        if p < 1 or q - p < 1:
+    a_star, half = float(sol.a), sol.gamma + eps / 2.0
+    for p, q in _cached_convergents(sol.mu):
+        if not 0 < p < q:
             continue
-        b_star = _right_abscissa(a_star, p, q)
-        if not _mixed_value(ki, p / q, a_star, b_star) < sol.gamma + eps / 2.0:
+        if not _mid_value(ki, p / q, a_star, _right_abscissa(a_star, p, q)) < half:
             continue
+        _, delta, _ = _kernel_constants(ki, a_star)
         quotient = 2.0 * delta / (eps * ki * q)
         if quotient == math.inf:  # a subnormal eps: int() cannot take the overflow
             raise CapacityError(
@@ -253,10 +283,10 @@ def _closed_form_value(spec: WitnessSpec) -> float:
     expm1(-a*/k) / (-expm1(a* s/k)).  O(k) scalar work; no entry is formed.
     """
     k, a = spec.k, spec.a_star
-    rise = math.expm1(-a / k)
+    g, _, rise = _kernel_constants(k, a)
     wrap = (rise / -math.expm1(a * s / k) for s in range(1, k))
     total = math.fsum([spec.m_prime // k * math.exp(-spec.b_star),
-                       (spec.m - k + 1) * eval_g(k, a) / k, *wrap])
+                       (spec.m - k + 1) * g / k, *wrap])
     return k / spec.n * total
 
 

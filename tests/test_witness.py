@@ -23,7 +23,24 @@ from cyclic_bounds import (
     solve_tangent,
     witness_value_and_bound,
 )
-from cyclic_bounds.witness import WitnessReport, WitnessSpec, _convergents
+from cyclic_bounds.tangent import TangentSolution, _mixed_value
+from cyclic_bounds.witness import (
+    WitnessReport,
+    WitnessSpec,
+    _cached_convergents,
+    _convergents,
+    _kernel_constants,
+    _mid_value,
+    _right_abscissa,
+)
+
+# the bounded caches behind planning and evaluation
+MEMOS = (_cached_convergents, _mid_value, _kernel_constants)
+
+
+def clear_memos():
+    for memo in MEMOS:
+        memo.cache_clear()
 
 
 def oracle_cyclic_sum(xs, k):
@@ -192,6 +209,135 @@ class TestPlanWitness:
         got = (spec.b_star, spec.delta, spec.analytic_bound, spec.gamma_plus_eps)
         assert [v.hex() for v in got] == [b_star, delta, bound, target]
 
+    # (k, eps, n_cap, n, m, mu_star, a_star, b_star, delta, analytic_bound,
+    # gamma_plus_eps, value), floats as float.hex, value from
+    # witness_value_and_bound: the benchmark's certify grid, then k = 7, 8, 12
+    # at tiny eps; captured before planning was memoized
+    GRID_PINS = [
+        (2, 0.01, 10**7, 424, 212, "1/2",
+         "-0x1.9b42d50469534p-3", "0x1.9b42d50469534p-3", "0x1.0cd753c791175p+1",
+         "0x1.fd32817018e08p-1", "0x1.ff8e71989120fp-1", "0x1.fbedde0619668p-1"),
+        (2, 0.001, 10**7, 4204, 2102, "1/2",
+         "-0x1.9b42d50469534p-3", "0x1.9b42d50469534p-3", "0x1.0cd753c791175p+1",
+         "0x1.faeab66d47daap-1", "0x1.faf2cbb53d292p-1", "0x1.fac9f884b0e38p-1"),
+        (2, 0.0001, 10**7, 42014, 18006, "3/7",
+         "-0x1.9b42d50469534p-3", "0x1.34721fc34efe7p-3", "0x1.0cd753c791175p+1",
+         "0x1.fa76f3a74deabp-1", "0x1.fa7cd4b81b29fp-1", "0x1.fa73acf1a8075p-1"),
+        (2, 1e-05, 10**7, 420096, 183792, "7/16",
+         "-0x1.9b42d50469534p-3", "0x1.3fdea5ae1907ep-3", "0x1.0cd753c791175p+1",
+         "0x1.fa7068f9a44c3p-1", "0x1.fa7108d1fe2a0p-1", "0x1.fa7015186d9c2p-1"),
+        (3, 0.01, 10**7, 1266, 633, "1/2",
+         "-0x1.529e75c41d964p-2", "0x1.529e75c41d964p-2", "0x1.94bbba9ef1f5dp+2",
+         "0x1.f85423b361f6ap-1", "0x1.f9d1ac1ff661cp-1", "0x1.f6d60bade627bp-1"),
+        (3, 0.001, 10**7, 12660, 5064, "2/5",
+         "-0x1.529e75c41d964p-2", "0x1.c37df25ad21dbp-3", "0x1.94bbba9ef1f5dp+2",
+         "0x1.f4f58a8b726f2p-1", "0x1.f536063ca269fp-1", "0x1.f4cf54f14c742p-1"),
+        (3, 0.0001, 10**7, 126480, 50592, "2/5",
+         "-0x1.529e75c41d964p-2", "0x1.c37df25ad21dbp-3", "0x1.94bbba9ef1f5dp+2",
+         "0x1.f4ba9f0d8b04cp-1", "0x1.f4c00f3f806acp-1", "0x1.f4b6cbf6f2d09p-1"),
+        (3, 1e-05, 10**7, 1264815, 515295, "11/27",
+         "-0x1.529e75c41d964p-2", "0x1.d199e1eda8aeap-3", "0x1.94bbba9ef1f5dp+2",
+         "0x1.f4b3a270c794bp-1", "0x1.f4b44359636adp-1", "0x1.f4b340886adb7p-1"),
+        (4, 0.01, 10**7, 2528, 1264, "1/2",
+         "-0x1.aecd2086e2f0cp-2", "0x1.aecd2086e2f0cp-2", "0x1.936ef7d70b10ap+3",
+         "0x1.f5570720d5c4cp-1", "0x1.f5bad72a6b3f5p-1", "0x1.f3b5134ab808dp-1"),
+        (4, 0.001, 10**7, 25220, 10088, "2/5",
+         "-0x1.aecd2086e2f0cp-2", "0x1.1f336b04974b3p-2", "0x1.936ef7d70b10ap+3",
+         "0x1.f0e270a90e63bp-1", "0x1.f11f314717478p-1", "0x1.f0b88b9f2a592p-1"),
+        (4, 0.0001, 10**7, 252160, 100864, "2/5",
+         "-0x1.aecd2086e2f0cp-2", "0x1.1f336b04974b3p-2", "0x1.936ef7d70b10ap+3",
+         "0x1.f0a778ab8452dp-1", "0x1.f0a93a49f5485p-1", "0x1.f0a347fef96f4p-1"),
+        (4, 1e-05, 10**7, 2521512, 980588, "7/18",
+         "-0x1.aecd2086e2f0cp-2", "0x1.122571ca33536p-2", "0x1.936ef7d70b10ap+3",
+         "0x1.f09cc6aecd388p-1", "0x1.f09d6e63d8486p-1", "0x1.f09c5b6963977p-1"),
+        (5, 0.01, 10**7, 4185, 1395, "1/3",
+         "-0x1.f2899c096bb8bp-2", "0x1.f2899c096bb8bp-3", "0x1.4ec6b7d9e2b02p+4",
+         "0x1.f08e9c5906fe5p-1", "0x1.f2c5f5f9c58a2p-1", "0x1.eed1150473504p-1"),
+        (5, 0.001, 10**7, 41850, 16740, "2/5",
+         "-0x1.f2899c096bb8bp-2", "0x1.4c5bbd5b9d25dp-2", "0x1.4ec6b7d9e2b02p+4",
+         "0x1.ee021a8ceea7cp-1", "0x1.ee2a501671925p-1", "0x1.edd58d04797ccp-1"),
+        (5, 0.0001, 10**7, 418480, 156930, "3/8",
+         "-0x1.f2899c096bb8bp-2", "0x1.2b1f5d9f40a20p-2", "0x1.4ec6b7d9e2b02p+4",
+         "0x1.edae0ce66ab01p-1", "0x1.edb459194f932p-1", "0x1.eda9984ad10c2p-1"),
+        (5, 1e-05, 10**7, 4184720, 1569270, "3/8",
+         "-0x1.f2899c096bb8bp-2", "0x1.2b1f5d9f40a20p-2", "0x1.4ec6b7d9e2b02p+4",
+         "0x1.eda826fd23408p-1", "0x1.eda88d3332933p-1", "0x1.eda7b4ed04fc5p-1"),
+        (6, 0.01, 10**7, 6264, 2088, "1/3",
+         "-0x1.134021a663796p-1", "0x1.134021a663796p-2", "0x1.f4281abd32a31p+4",
+         "0x1.ee40f46200960p-1", "0x1.f08e8f48e2cb3p-1", "0x1.ec6ffedb74dc0p-1"),
+        (6, 0.001, 10**7, 62544, 23454, "3/8",
+         "-0x1.134021a663796p-1", "0x1.4a4cf52e10f81p-2", "0x1.f4281abd32a31p+4",
+         "0x1.ebb36508eab9ap-1", "0x1.ebf2e9658ed36p-1", "0x1.eb84d3cfec72dp-1"),
+        (6, 0.0001, 10**7, 625200, 234450, "3/8",
+         "-0x1.134021a663796p-1", "0x1.4a4cf52e10f81p-2", "0x1.f4281abd32a31p+4",
+         "0x1.eb78701446708p-1", "0x1.eb7cf2686cd43p-1", "0x1.eb73c77fd2ab8p-1"),
+        (6, 1e-05, 10**7, 6251988, 2303364, "7/19",
+         "-0x1.134021a663796p-1", "0x1.412027421eb84p-2", "0x1.f4281abd32a31p+4",
+         "0x1.eb7082541bc37p-1", "0x1.eb7126824fd44p-1", "0x1.eb700b12012f6p-1"),
+        (7, 1e-07, 10**18, 872184880, 316167019, "29/80",
+         "-0x1.27d72f563276ap-1", "0x1.507235d57aa50p-2", "0x1.5cdfb79f3327fp+5",
+         "0x1.e9b83a7ce19d4p-1", "0x1.e9b83c12ba59ap-1", "0x1.e9b8394102232p-1"),
+        (7, 1e-09, 10**18, 87218474931, 31623072782, "62/171",
+         "-0x1.27d72f563276ap-1", "0x1.508d754386e9ap-2", "0x1.5cdfb79f3327fp+5",
+         "0x1.e9b838bc17540p-1", "0x1.e9b838c0530c4p-1", "0x1.e9b838b8eeb18p-1"),
+        (8, 1e-07, 10**18, 1159357464, 414604656, "54/151",
+         "-0x1.389366b5d2cc0p-1", "0x1.5c05c42c17915p-2", "0x1.cfbe16c563fc6p+5",
+         "0x1.e85a250567a09p-1", "0x1.e85a26b0c3bf5p-1", "0x1.e85a23c0e3ae2p-1"),
+        (8, 1e-09, 10**18, 115935634056, 41460425424, "54/151",
+         "-0x1.389366b5d2cc0p-1", "0x1.5c05c42c17915p-2", "0x1.cfbe16c563fc6p+5",
+         "0x1.e85a235c34154p-1", "0x1.e85a235e5c71fp-1", "0x1.e85a2358f552bp-1"),
+        (12, 1e-07, 10**18, 2709079428, 934165320, "10/29",
+         "-0x1.64d2e8d8d7e28p-1", "0x1.779aa4429267bp-2", "0x1.0ee86cd234821p+7",
+         "0x1.e4de6f558cfa4p-1", "0x1.e4de6f8916704p-1", "0x1.e4de6df9bb5cap-1"),
+        (12, 1e-09, 10**18, 270907910820, 93489788832, "88/255",
+         "-0x1.64d2e8d8d7e28p-1", "0x1.780dcc01a7bc2p-2", "0x1.0ee86cd234821p+7",
+         "0x1.e4de6c32642c2p-1", "0x1.e4de6c36af22ep-1", "0x1.e4de6c2ee9c19p-1"),
+    ]
+
+    @staticmethod
+    def pin(k, eps, n_cap, sol=None):
+        spec = plan_witness(k, eps, sol or solve_tangent(k), n_cap=n_cap)
+        report = witness_value_and_bound(spec)
+        assert spec.eps.hex() == eps.hex()
+        assert (report.analytic_bound, report.gamma_plus_eps) == (
+            spec.analytic_bound, spec.gamma_plus_eps)
+        floats = (spec.a_star, spec.b_star, spec.delta, spec.analytic_bound,
+                  spec.gamma_plus_eps, report.value)
+        return (k, eps, n_cap, spec.n, spec.m, str(spec.mu_star), *(v.hex() for v in floats))
+
+    def test_grid_bits_hold_in_either_eps_order(self):
+        clear_memos()
+        rows = sorted(self.GRID_PINS, key=lambda row: row[1], reverse=True)
+        for row in rows + rows[::-1]:
+            assert self.pin(*row[:3]) == row
+
+    # the plan at eps = 1e-3 for a hand-built k = 3 solution one ulp right of
+    # the tangency abscissa, in the layout of GRID_PINS; captured before
+    # planning was memoized
+    OFF_PIN = (3, 0.001, 10**7, 12660, 5064, "2/5",
+               "-0x1.529e75c41d963p-2", "0x1.c37df25ad21d9p-3", "0x1.94bbba9ef1f5ep+2",
+               "0x1.f4f58a8b726f2p-1", "0x1.f536063ca269fp-1", "0x1.f4cf54f14c740p-1")
+
+    def test_memo_is_keyed_by_the_solution_not_k(self):
+        canon = solve_tangent(3)
+        off = TangentSolution(idx=3.0, a=math.nextafter(canon.a, 0.0))
+        pins = {canon: next(row for row in self.GRID_PINS if row[:2] == (3, 0.001)),
+                off: self.OFF_PIN}
+        for order in ((off, canon), (canon, off)):
+            clear_memos()
+            for sol in order:
+                assert self.pin(3, 0.001, 10**7, sol) == pins[sol]
+                # the cached convergents are this solution's, not another's:
+                # the two mu differ from the 15th convergent on, which no plan reaches
+                assert _cached_convergents(sol.mu) == _convergents(sol.mu)
+                # and so are the mid values of the two it tried, 1/2 and 2/5: at
+                # 1/2 the two solutions' values differ by one ulp
+                for p, q in ((1, 2), (2, 5)):
+                    args = (3, p / q, sol.a, _right_abscissa(sol.a, p, q))
+                    assert _mid_value(*args) == _mixed_value(*args)
+        for memo in MEMOS:
+            assert isinstance(memo.cache_info().maxsize, int)
+
 
 class TestBuildWitness:
     def test_sparse_region_structure(self):
@@ -266,6 +412,18 @@ class TestBuildWitness:
         good = plan_witness(2, 0.05, solve_tangent(2))
         with pytest.raises(InvalidSpecError, match="divisible"):
             WitnessSpec(good.k, good.n, good.m + 1, good.a_star, good.eps)
+
+    def test_a_star_stored_as_float(self):
+        # a 0-d array cannot key a cache; as a float it plans and validates as before
+        sol = solve_tangent(3)
+        good = plan_witness(3, 1e-3, sol)
+        for a in (np.float64(sol.a), np.array(sol.a)):
+            spec = WitnessSpec(3, good.n, good.m, a, 1e-3)
+            assert spec == good and type(spec.a_star) is float
+        assert plan_witness(3, 1e-3, TangentSolution(3.0, np.array(sol.a))) == good
+        for bad in (None, "a", [sol.a]):
+            with pytest.raises(InvalidSpecError, match="a_star must be a real number"):
+                WitnessSpec(3, good.n, good.m, bad, 1e-3)
 
     def test_flipped_abscissas_rejected(self):
         good = plan_witness(2, 0.05, solve_tangent(2))
