@@ -14,7 +14,6 @@ the array names below (from `sums` and `optimize`) are resolved on first use.
 import importlib
 
 from .errors import (
-    AmbiguousBracketError,
     CapacityError,
     CyclicBoundsError,
     DegenerateFamilyError,
@@ -60,9 +59,8 @@ _LAZY = {
 }
 
 __all__ = [
-    "AmbiguousBracketError", "CapacityError", "CyclicBoundsError", "DegenerateFamilyError",
-    "DomainError", "InvalidSpecError", "NoBracketError", "ShapeError", "SolverError",
-    "WindowError",
+    "CapacityError", "CyclicBoundsError", "DegenerateFamilyError", "DomainError",
+    "InvalidSpecError", "NoBracketError", "ShapeError", "SolverError", "WindowError",
     "INFINITY", "eval_f", "eval_f_derivative", "eval_g", "eval_g_derivative", "eval_p",
     "lower_bound_theorem2",
     "TangentSolution", "solve_tangent",

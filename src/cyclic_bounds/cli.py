@@ -24,7 +24,7 @@ from .witness import DEFAULT_N_CAP, plan_witness
 
 __all__ = ["main", "entry_point"]
 
-K_MAX_LIMIT = 10_000  # largest `bounds --k-max`: each k costs a cold tangent solve of 1.5-1.7 ms
+K_MAX_LIMIT = 10_000  # largest `bounds --k-max`: each k costs a cold tangent solve of about 0.4 ms
 
 
 def _fmt6(v: float) -> str:

@@ -27,11 +27,7 @@ class DegenerateFamilyError(CyclicBoundsError, ValueError):
 
 
 class NoBracketError(CyclicBoundsError, RuntimeError):
-    """Root scan found no sign change inside the search window."""
-
-
-class AmbiguousBracketError(CyclicBoundsError, RuntimeError):
-    """Root scan found more than one sign change; refusing to pick one silently."""
+    """No tangency root resolvable in float: k is within 2^-23 of 1, or no sign change on the grid."""
 
 
 class SolverError(CyclicBoundsError, RuntimeError):

@@ -6,9 +6,24 @@ the slope lam = g'(a) determines the right abscissa b = -ln(-lam) and the
 y-intercept gamma = -lam (1 + b).  Eliminating b turns tangency into a single
 scalar equation in a,
 
-    g(a) / g'(a) - a + 1 = ln(-g'(a)),
+    R(a) = g(a) / g'(a) - a + 1 - ln(-g'(a)) = 0.
 
-which is solved here by a bracketed scan plus bisection plus a secant polish.
+R decreases strictly on a <= 0, so its root is unique.  Proof:
+
+- Let p(x) = (1 - e^{-x})/x = int_0^1 e^{-xt} dt.  Then e^x g_k(x) =
+  p(x/k)/p(x), and 1/p(x) for k = INFINITY.
+- m(x) = -(ln p)'(x) = 1/x - 1/(e^x - 1) is the mean of t under the density
+  proportional to e^{-xt} on [0, 1], so 0 < m < 1, and m decreases (m' is
+  minus that density's variance).
+- For x < 0 and k > 1, x < x/k gives m(x/k)/k < m(x/k) < m(x), so
+  (ln(e^x g_k))'(x) = m(x) - m(x/k)/k > 0 (for k = INFINITY it is m(x) > 0).
+  That is, g + g' > 0.
+- R'(a) = -g''(a) (g + g')(a) / g'(a)^2, and g_k is convex, analytic and
+  not affine, so R decreases strictly.
+- At a = 0, R = 1 - 1/u - ln u < 0 with u = -g'(0) = (1 + 1/k)/2 in [1/2, 1).
+
+It is solved by bisection over a fixed grid on [-30, 0] to the one cell where
+R changes sign, then by float bisection and a secant polish.
 The returned gamma is the ceiling constant of the large-n analysis; the
 piecewise function (kernel, tangent line, exponential) is the convex minorant
 of min(exp(-x), g_k(x)).  A solution is a frozen record; which of its fields
@@ -21,12 +36,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import (
-    AmbiguousBracketError,
-    DegenerateFamilyError,
-    NoBracketError,
-    SolverError,
-)
+from .errors import DegenerateFamilyError, NoBracketError, SolverError
 from .funcs import eval_g, eval_g_derivative
 
 __all__ = [
@@ -34,15 +44,15 @@ __all__ = [
     "solve_tangent",
 ]
 
-# Empirical search window for the left tangency abscissa; revisit if some
-# family ever fails to bracket here.
+# Grid for the left tangency abscissa: 240 points log-spaced over [-30, -1e-6],
+# then 0.0, whose cell holds the abscissa for k just above 1.
 _SCAN_LO = -30.0
 _SCAN_HI = -1e-6
 _SCAN_POINTS = 240
 # Log-spaced the way np.linspace spaces points: log of point i is lo + i*step, the last is hi.
 _STEP = (math.log(-_SCAN_HI) - math.log(-_SCAN_LO)) / (_SCAN_POINTS - 1)
 _LOGS = [math.log(-_SCAN_LO) + i * _STEP for i in range(_SCAN_POINTS - 1)] + [math.log(-_SCAN_HI)]
-_SCAN_GRID = tuple(-math.exp(t) for t in _LOGS)
+_SCAN_GRID = (*(-math.exp(t) for t in _LOGS), 0.0)
 
 _LN2 = math.log(2.0)
 
@@ -119,10 +129,11 @@ def _comtan_residual(idx: float, a: float) -> float:
 def solve_tangent(idx) -> TangentSolution:
     """Solve the common-tangent system for family index idx (real > 1 or INFINITY).
 
-    The scan asserts exactly one sign change of the tangency equation on
-    [-30, -1e-6]; zero raises NoBracketError, several raise
-    AmbiguousBracketError.  The bracket is bisected, polished with secant
-    steps, and the four tangency residuals are required to stay below 1e-12.
+    R decreases strictly (module docstring), so its sign at both ends of the
+    grid on [-30, 0] and a bisection over grid indices find the sign-change
+    cell in at most ten evaluations.  The cell is bisected, polished with
+    secant steps, and the four tangency residuals must stay below 1e-12.
+    k < 1 + 2^-23 raises NoBracketError: 1 - gamma_k is below float resolution.
 
     Solutions are memoized per float(idx), so 3 and 3.0 share one, and
     are shared between callers, which the frozen TangentSolution makes safe.
@@ -133,31 +144,33 @@ def solve_tangent(idx) -> TangentSolution:
 
 @lru_cache(maxsize=256)
 def _solve_tangent(k: float) -> TangentSolution:
-    grid = _SCAN_GRID
-    up = [_comtan_residual(k, a) > 0.0 for a in grid]
-    brackets = [(grid[i], grid[i + 1]) for i in range(_SCAN_POINTS - 1) if up[i] != up[i + 1]]
-    if not brackets:
+    if k - 1.0 < 2.0**-23:  # there the rounded geometry (gamma < 1, b > 0) can fail
         raise NoBracketError(
-            f"no sign change of the tangency equation for index {k!r} on "
-            f"[{_SCAN_LO}, {_SCAN_HI}] ({_SCAN_POINTS} scan points)"
+            f"index {k!r} is too close to 1 for float resolution: 1 - gamma_k, "
+            "about (k - 1)^2/32, is below 2^-51"
         )
-    if len(brackets) > 1:
-        raise AmbiguousBracketError(
-            f"{len(brackets)} sign changes of the tangency equation for index {k!r}: "
-            f"{brackets}; refusing to pick one"
+    grid = _SCAN_GRID
+    if not (_comtan_residual(k, grid[0]) > 0.0 >= _comtan_residual(k, grid[-1])):
+        raise NoBracketError(
+            f"no sign change of the tangency equation for index {k!r} on [{grid[0]}, 0.0]"
         )
+    i, j = 0, len(grid) - 1  # R(grid[i]) > 0 >= R(grid[j])
+    while j - i > 1:
+        mid = (i + j) // 2
+        if _comtan_residual(k, grid[mid]) > 0.0:
+            i = mid
+        else:
+            j = mid
 
-    lo, hi = brackets[0]
-    flo = _comtan_residual(k, lo)
+    lo, hi = grid[i], grid[j]
     for _ in range(200):
         if hi - lo <= 1e-15 * max(1.0, abs(lo)):
             break
         mid = 0.5 * (lo + hi)
-        fmid = _comtan_residual(k, mid)
-        if (flo > 0.0) != (fmid > 0.0):
-            hi = mid
+        if _comtan_residual(k, mid) > 0.0:
+            lo = mid
         else:
-            lo, flo = mid, fmid
+            hi = mid
 
     # derivative-free secant polish; keep the best |residual| seen
     a0, a1 = lo, hi
@@ -167,7 +180,7 @@ def _solve_tangent(k: float) -> TangentSolution:
         if f1 == f0:
             break
         a2 = a1 - f1 * (a1 - a0) / (f1 - f0)
-        if not (brackets[0][0] <= a2 <= brackets[0][1]):
+        if not (grid[i] <= a2 <= grid[j]):
             break
         f2 = _comtan_residual(k, a2)
         if abs(f2) < abs(best_f):

@@ -185,8 +185,9 @@ def plan_witness(
     a* is kept at the tangency abscissa of sol; each convergent p/q of mu_k is
     tried in turn with b* = -p/(q-p) * a*, advancing to the next convergent
     whenever the strict mid-certificate mu* g(a*) + (1-mu*) e^{-b*}
-    < gamma + eps/2 fails.  n = k q s with the smallest integer scale s
-    making delta/n < eps/2.
+    < gamma + eps/2 fails; gamma is solve_tangent(k).gamma, the value the
+    WitnessSpec re-tests against.  n = k q s with the smallest integer scale
+    s making delta/n < eps/2.
 
     Raises CapacityError only when the needed n exceeds n_cap, or when a
     tiny eps puts it beyond float range; a plan whose entries would leave
@@ -201,7 +202,7 @@ def plan_witness(
             f"tangent solution is for index {sol.idx}, not for k = {ki}"
         )
 
-    a_star, half = float(sol.a), sol.gamma + eps / 2.0
+    a_star, half = float(sol.a), solve_tangent(ki).gamma + eps / 2.0
     for p, q in _cached_convergents(sol.mu):
         if not 0 < p < q:
             continue

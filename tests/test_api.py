@@ -36,9 +36,8 @@ LAYERS = ("funcs", "sums", "tangent", "witness", "optimize", "bounds", "verifica
 
 # Everything `import cyclic_bounds` binds that is neither private nor a submodule.
 PACKAGE_API = {
-    "AmbiguousBracketError", "CapacityError", "CyclicBoundsError", "DegenerateFamilyError",
-    "DomainError", "InvalidSpecError", "NoBracketError", "ShapeError", "SolverError",
-    "WindowError",
+    "CapacityError", "CyclicBoundsError", "DegenerateFamilyError", "DomainError",
+    "InvalidSpecError", "NoBracketError", "ShapeError", "SolverError", "WindowError",
     "INFINITY", "eval_f", "eval_f_derivative", "eval_g", "eval_g_derivative", "eval_p",
     "lower_bound_theorem2",
     "BlockDiagnostics", "CyclicVector", "as_cyclic_vector", "baston_sum", "block_diagnostics",

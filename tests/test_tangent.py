@@ -15,12 +15,16 @@ from mpmath import mp, mpf, diff, exp, findroot
 from cyclic_bounds import (
     DegenerateFamilyError,
     INFINITY,
+    NoBracketError,
     SolverError,
     TangentSolution,
     eval_g,
     lower_bound_theorem2,
+    plan_witness,
     solve_tangent,
+    witness_value_and_bound,
 )
+from cyclic_bounds import tangent
 from cyclic_bounds.cli import main
 
 mp.dps = 60
@@ -165,6 +169,101 @@ class TestSolveTangent:
     def test_floor_sits_below_ceiling(self):
         for k in range(2, 30):
             assert lower_bound_theorem2(k) < solve_tangent(k).gamma
+
+
+# indices whose tangency root sits near either end of the grid, or far out in k
+SPECIAL_KS = (1.00001, 1.0001, 1.01, 1.5, 2.5, 1e3, 1e6, 1e8, 1e12, 1e16, 1e100, 1e308, INFINITY)
+
+
+def scan_cells(k):
+    """Reference: every grid cell where the tangency equation changes sign, from all its points."""
+    grid = tangent._SCAN_GRID
+    up = [tangent._comtan_residual(k, a) > 0.0 for a in grid]
+    return [(grid[i], grid[i + 1]) for i in range(len(grid) - 1) if up[i] != up[i + 1]]
+
+
+def mp_mean(x):
+    """m(x) = 1/x - 1/(e^x - 1), the mean of t under the density ~ e^{-xt} on [0, 1]."""
+    return 1 / x - 1 / mp.expm1(x)
+
+
+class TestMonotoneResidual:
+    """The tangency equation decreases strictly, so bisecting the grid finds the one root."""
+
+    @pytest.mark.parametrize("k", [1.00001, 1.5, 2, 3, 50, 1e6])
+    def test_lemma_at_60_digits(self, k):
+        # m(x) > m(x/k)/k, that is g + g' > 0, which makes R' < 0 (module docstring)
+        with mp.workdps(60):
+            k = mpf(k)
+            xs = [-mp.exp(t) for t in mp.linspace(mp.log(30), mp.log(mpf("1e-6")), 600)]
+            for x in xs:
+                m = mp_mean(x)
+                assert 0 < m < 1
+                assert m > mp_mean(x / k) / k, x
+            ms = [mp_mean(x) for x in xs]
+            assert all(b < a for a, b in zip(ms, ms[1:]))  # m decreases as x rises
+
+    @pytest.mark.parametrize("ks", [range(2, 301), SPECIAL_KS], ids=["2..300", "special"])
+    def test_one_sign_change_holding_the_root(self, ks):
+        for k in ks:
+            cells = scan_cells(k)
+            assert len(cells) == 1, k
+            (lo, hi), = cells
+            assert tangent._comtan_residual(k, lo) > 0.0, k
+            assert lo <= solve_tangent(k).a <= hi, k
+
+    @pytest.mark.parametrize("k", [1.000002, 1.01, 2.0, 3.0, 1e3, 1e308, INFINITY])
+    def test_cell_search_takes_ten_evaluations(self, k, monkeypatch):
+        grid = set(tangent._SCAN_GRID)
+        residual, args = tangent._comtan_residual, []
+
+        def counted(idx, a):
+            args.append(a)
+            return residual(idx, a)
+
+        monkeypatch.setattr(tangent, "_comtan_residual", counted)
+        tangent._solve_tangent.__wrapped__(k)  # uncached
+        # the cell search is the leading run of evaluations at grid points
+        search = next(i for i, a in enumerate(args) if a not in grid)
+        assert search <= 10
+
+    def test_gamma_decreases_in_k_above_the_limit(self):
+        gammas = [solve_tangent(k).gamma for k in range(2, 2001)]
+        assert all(b < a for a, b in zip(gammas, gammas[1:]))
+        assert gammas[-1] > solve_tangent(INFINITY).gamma
+
+
+class TestNearOne:
+    def test_solves_just_above_one(self):
+        k = 1.000002
+        sol = solve_tangent(k)
+        assert sol.a == pytest.approx(-(k - 1) / 4, rel=1e-3)
+        assert 1.0 - sol.gamma == pytest.approx((k - 1) ** 2 / 32, rel=1e-2)
+        assert max(sol.residuals) <= 1e-15
+        assert tangent._SCAN_GRID[-2] < sol.a < 0.0  # in the cell the grid's 0.0 end closes
+
+    def test_smallest_accepted_index_solves(self):
+        k = 1.0 + 2.0**-23
+        assert solve_tangent(k).gamma < 1.0
+
+    # k - 1 = 1e-8: the tangency equation already rounds positive at a = 0;
+    # 2e-8, 3e-8 and 9.57e-8, the largest failure seen in random draws: the
+    # rounded geometry fails (b <= 0 or gamma = 1.0), as it does not for every k there
+    @pytest.mark.parametrize("k", [1.00000001, 1.00000002, 1.00000003, 1.0000000957568902])
+    def test_below_float_resolution_refused_with_reason(self, k):
+        with pytest.raises(NoBracketError, match="too close to 1 for float resolution"):
+            solve_tangent(k)
+
+
+def test_plan_uses_the_gamma_the_spec_retests():
+    # a hand-built solution one ulp right of the tangency has a gamma one ulp
+    # higher; the 1/2 convergent passes against it but not against gamma_3,
+    # so the plan moves on to 2/5
+    sol = TangentSolution(idx=3.0, a=math.nextafter(solve_tangent(3).a, 0.0))
+    assert sol.gamma > solve_tangent(3).gamma
+    spec = plan_witness(3, float.fromhex("0x1.1273df7b96880p-8"), sol)
+    assert (spec.m, spec.n, str(spec.mu_star)) == (1212, 3030, "2/5")
+    assert witness_value_and_bound(spec).certified
 
 
 def minorant(sol, x):
