@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and its one integer-argument check."""
+"""Exception types shared across the package, and its one integer- and one real-argument check."""
 
+import math
 from operator import index
 
 
@@ -61,3 +62,22 @@ def _integer(name: str, value, lo: int, hi: int | None = None, error: type = Val
         bound = f">= {lo}" if hi is None else f"in {lo}..{hi}"
         raise error(f"{name} must be an integer {bound}, got {value!r}")
     return ival
+
+
+def _real(name: str, value, lo: float, hi: float | None = None, error: type = ValueError) -> float:
+    """value as a Python float in (lo, hi), or in (lo, inf] when hi is None, else raise error.
+
+    Python and numpy reals, integers and 0-d arrays included, are taken through
+    their __float__; anything else (the string "3", bytes, None, a complex),
+    nan, an int beyond float range or a value out of range raises error
+    naming the argument and its range.  The result is never a numpy scalar.
+    """
+    try:  # float() would also parse text, which has no __float__, and take a numpy complex
+        x = (float(value) if isinstance(value, float) or isinstance(value, int)
+             or hasattr(type(value), "__float__") and not isinstance(value, complex) else math.nan)
+    except (TypeError, ValueError, OverflowError):  # a sized array, an int beyond float range
+        x = math.nan
+    if lo < x and (hi is None or x < hi):
+        return x
+    top = "inf]" if hi is None else f"{hi:g})"
+    raise error(f"{name} must be a real number in ({lo:g}, {top}, got {value!r}")

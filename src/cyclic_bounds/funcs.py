@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import _integer
+from .errors import _integer, _real
 
 __all__ = [
     "INFINITY",
@@ -36,14 +36,6 @@ INFINITY = math.inf
 # Largest exp() argument used directly (expm1 raises past float64 range); caps witness log-entries.
 _EXP_MAX = 700.0
 _LOG_FLOAT_MAX = 709.0
-
-
-def _check_family(idx) -> float:
-    """Validate a family index: a positive real, or INFINITY for the limit kernel."""
-    k = float(idx)
-    if math.isnan(k) or k <= 0.0:
-        raise ValueError(f"family index must be positive or INFINITY, got {idx!r}")
-    return k
 
 
 # ---------------------------------------------------------------------------
@@ -64,9 +56,9 @@ def _g_inf(x: float) -> float:
 
 def eval_g(idx, x: float) -> float:
     """Kernel value for family index idx (positive real or INFINITY) at real x."""
-    k = _check_family(idx)
+    k = _real("idx", idx, 0.0)
     x = float(x)
-    if math.isinf(k):
+    if k == INFINITY:
         return _g_inf(x)
     if x == 0.0:
         return 1.0
@@ -148,24 +140,27 @@ def _p_prime(x: float) -> float:
     if -x > _EXP_MAX:
         # ((1 + x) e^{-x} - 1) / x^2 ~ (1 + x) e^{-x} / x^2, negative, may overflow
         y = -x
-        log_mag = math.log(y - 1.0) + y - 2.0 * math.log(y)
-        return -math.inf if log_mag >= _LOG_FLOAT_MAX else -math.exp(log_mag)
+        log_mag = math.log(y - 1.0) + y - 2.0 * math.log(y)  # nan at x = -inf
+        return -math.exp(log_mag) if log_mag < _LOG_FLOAT_MAX else -math.inf
+    if x > _EXP_MAX:
+        # the formula below, whose (1 + x) e^{-x} is under half an ulp of 1; -0.0 at inf
+        return -1.0 / (x * x)
     return ((1.0 + x) * math.exp(-x) - 1.0) / (x * x)
 
 
 def eval_g_derivative(idx, x: float) -> float:
-    """d/dx of eval_g(idx, .); strictly negative on the real line.
+    """d/dx of eval_g(idx, .); strictly negative on the real line, -0.0 where it underflows.
 
     Finite families are differentiated through the factorization
     g_k = g_inf(x) * p(x/k), whose two derivative terms share a sign, so no
     cancellation occurs anywhere.
     """
-    k = _check_family(idx)
+    k = _real("idx", idx, 0.0)
     x = float(x)
     if math.isinf(x):
         # limits: flat at +inf; slope of k e^{-x/k} (-inf) or of -x (-1) at -inf
-        return 0.0 if x > 0.0 else (-1.0 if math.isinf(k) else -math.inf)
-    if math.isinf(k):
+        return 0.0 if x > 0.0 else (-1.0 if k == INFINITY else -math.inf)
+    if k == INFINITY:
         return _g_inf_prime(x)
     u = x / k
     return _g_inf_prime(x) * eval_p(u) + _g_inf(x) * _p_prime(u) / k

@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import DegenerateFamilyError, NoBracketError, SolverError
+from .errors import DegenerateFamilyError, NoBracketError, SolverError, _real
 from .funcs import eval_g, eval_g_derivative
 
 __all__ = [
@@ -64,12 +64,14 @@ _TOL = 1e-12
 class TangentSolution:
     """Common-tangent geometry for one family index, fixed by its left abscissa.
 
-    Stored: idx and a < 0.  Derived: the shared slope lam = g'(a) < 0, the
-    right abscissa b = -ln(-lam) > 0, the y-intercept gamma = -lam (1 + b),
-    the weight mu = b / (b - a) making the origin a convex combination of a
-    and b, and residuals, the four tangency defects |g(a)-(gamma+lam*a)|,
-    |g'(a)-lam|, |e^-b-(gamma+lam*b)|, |-e^-b-lam|.  Construction raises
-    SolverError when this geometry fails, as it does for an a off the tangency.
+    Stored as floats: idx in (1, inf] and a < 0.  Derived: the shared slope
+    lam = g'(a) < 0, the right abscissa b = -ln(-lam) > 0, the y-intercept
+    gamma = -lam (1 + b), the weight mu = b / (b - a) making the origin a convex
+    combination of a and b, and residuals, the four tangency defects
+    |g(a)-(gamma+lam*a)|, |g'(a)-lam| = 0, |e^-b-(gamma+lam*b)|, |-e^-b-lam|.
+    Construction raises DegenerateFamilyError for another idx, and SolverError
+    for an a that is not a finite real or when this geometry fails, as it
+    does for an a off the tangency.
     """
 
     idx: float
@@ -81,7 +83,8 @@ class TangentSolution:
     residuals: tuple[float, float, float, float] = field(init=False)
 
     def __post_init__(self) -> None:
-        idx, a = self.idx, self.a
+        idx = _real("idx", self.idx, 1.0, None, DegenerateFamilyError)
+        a = _real("a", self.a, -math.inf, math.inf, SolverError)
         lam = eval_g_derivative(idx, a)
         if not lam < 0.0:
             raise SolverError(f"tangent slope lam={lam} is not negative")
@@ -95,29 +98,15 @@ class TangentSolution:
         mix = _mixed_value(idx, mu, a, b)
         if abs(mix - gamma) > 1e-10:
             raise SolverError(f"mixed tangency value deviates from gamma by {mix - gamma}")
-        residuals = (
-            abs(eval_g(idx, a) - (gamma + lam * a)),
-            abs(eval_g_derivative(idx, a) - lam),
-            abs(math.exp(-b) - (gamma + lam * b)),
-            abs(-math.exp(-b) - lam),
-        )
-        for name, value in dict(b=b, gamma=gamma, lam=lam, mu=mu, residuals=residuals).items():
-            object.__setattr__(self, name, value)
+        residuals = (abs(eval_g(idx, a) - (gamma + lam * a)), 0.0,  # lam is g'(a)
+                     abs(math.exp(-b) - (gamma + lam * b)), abs(-math.exp(-b) - lam))
+        # one write to the instance dict sets every field past the frozen __setattr__
+        vars(self).update(idx=idx, a=a, b=b, gamma=gamma, lam=lam, mu=mu, residuals=residuals)
 
 
 def _mixed_value(idx: float, mu: float, a: float, b: float) -> float:
     """mu g(a) + (1 - mu) e^{-b}: gamma at the tangency, the witness certificate's core."""
     return mu * eval_g(idx, a) + (1.0 - mu) * math.exp(-b)
-
-
-def _check_tangent_family(idx) -> float:
-    k = float(idx)
-    if math.isnan(k) or k <= 1.0:
-        raise DegenerateFamilyError(
-            f"family index {idx!r} is degenerate: the k = 1 kernel is exp(-x) itself, "
-            "so no common tangent exists for k <= 1"
-        )
-    return k
 
 
 def _comtan_residual(idx: float, a: float) -> float:
@@ -133,13 +122,14 @@ def solve_tangent(idx) -> TangentSolution:
     grid on [-30, 0] and a bisection over grid indices find the sign-change
     cell in at most ten evaluations.  The cell is bisected, polished with
     secant steps, and the four tangency residuals must stay below 1e-12.
-    k < 1 + 2^-23 raises NoBracketError: 1 - gamma_k is below float resolution.
+    idx <= 1 raises DegenerateFamilyError (the k = 1 kernel is exp(-x) itself),
+    and k < 1 + 2^-23 NoBracketError: 1 - gamma_k is below float resolution.
 
     Solutions are memoized per float(idx), so 3 and 3.0 share one, and
     are shared between callers, which the frozen TangentSolution makes safe.
     A call that raises is not cached.
     """
-    return _solve_tangent(_check_tangent_family(idx))
+    return _solve_tangent(_real("idx", idx, 1.0, None, DegenerateFamilyError))
 
 
 @lru_cache(maxsize=256)

@@ -210,27 +210,27 @@ def _kernel_limit(rng, scale: int) -> GroupResult:
     return tally.result("kernel_limit")
 
 
+def _check_slope(tally: _Tally, f, df, x, sign: float) -> None:
+    """df(x) against the central difference of f at x, to 1e-6 relative, and sign * df(x) > 0."""
+    h = 1e-6 * max(1.0, abs(x))
+    fd = (f(x + h) - f(x - h)) / (2.0 * h)
+    an = df(x)
+    rel = abs(fd - an) / max(abs(an), 1e-30)
+    tally.check(rel <= 1e-6, rel)
+    tally.check(sign * an > 0.0)
+
+
 def _derivative_consistency(rng, scale: int) -> GroupResult:
     """Analytic derivatives match central differences to 1e-6 relative."""
     tally = _Tally(max, 0.0)
     for k in _sample_indices(rng, 2 * scale):
         for _ in range(3):
-            x = rng.uniform(-20.0, 20.0)
-            h = 1e-6 * max(1.0, abs(x))
-            fd = (eval_g(k, x + h) - eval_g(k, x - h)) / (2.0 * h)
-            an = eval_g_derivative(k, x)
-            rel = abs(fd - an) / max(abs(an), 1e-30)
-            tally.check(rel <= 1e-6, rel)
-            tally.check(an < 0.0)
+            _check_slope(tally, partial(eval_g, k), partial(eval_g_derivative, k),
+                         rng.uniform(-20.0, 20.0), -1.0)
     for _ in range(3 * scale):
         kf = int(rng.integers(1, 9))
-        t = rng.uniform(-20.0, 20.0)
-        h = 1e-6 * max(1.0, abs(t))
-        fd = (eval_f(kf, t + h) - eval_f(kf, t - h)) / (2.0 * h)
-        an = eval_f_derivative(kf, t)
-        rel = abs(fd - an) / max(abs(an), 1e-30)
-        tally.check(rel <= 1e-6, rel)
-        tally.check(an > 0.0)
+        _check_slope(tally, partial(eval_f, kf), partial(eval_f_derivative, kf),
+                     rng.uniform(-20.0, 20.0), 1.0)
     return tally.result("derivative_consistency")
 
 

@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .errors import CapacityError, InvalidSpecError, SolverError, _integer
+from .errors import CapacityError, InvalidSpecError, SolverError, _integer, _real
 from .funcs import _EXP_MAX, eval_g
 from .tangent import TangentSolution, _mixed_value, solve_tangent
 
@@ -71,7 +71,7 @@ class WitnessSpec:
     mu_star = m/n, b_star, delta, analytic_bound (the certificate's middle
     term) and gamma_plus_eps.  Construction raises InvalidSpecError unless
     k, n, m are integers (stored as ints), k >= 2, k | m, k | n, 0 < m < n,
-    a_star is a real number (stored as float(a_star)) below 0,
+    a_star and eps are reals (stored as floats), a_star < 0 < b_star,
     0 < eps < inf and the mid-certificate
     (1-mu*) exp(-b*) + mu* g_k(a*) < gamma_k + eps/2 holds, and CapacityError
     when n is beyond float range.
@@ -93,11 +93,8 @@ class WitnessSpec:
         k = _integer("k", self.k, 2, error=InvalidSpecError)
         n = _integer("n", self.n, 2, error=InvalidSpecError)
         m = _integer("m", self.m, 1, n - 1, error=InvalidSpecError)
-        try:  # a float key for the caches below, also for a 0-d numpy array
-            a = float(self.a_star)
-        except (TypeError, ValueError):
-            raise InvalidSpecError(f"a_star must be a real number, got {self.a_star!r}") from None
-        eps = self.eps
+        a = _real("a_star", self.a_star, -math.inf, math.inf, InvalidSpecError)  # a cache key
+        eps = _real("eps", self.eps, 0.0, math.inf, InvalidSpecError)
         if n % k != 0 or m % k != 0:
             raise InvalidSpecError(f"both m={m} and n={n} must be divisible by k={k}")
         if n > sys.float_info.max:  # delta / n and the abscissas need n, m as floats
@@ -108,8 +105,6 @@ class WitnessSpec:
         b = _right_abscissa(a, mu.numerator, mu.denominator)
         if not (a < 0.0 < b):
             raise InvalidSpecError(f"need a_star < 0 < b_star, got {a}, {b}")
-        if not 0.0 < eps < math.inf:
-            raise InvalidSpecError(f"eps must be positive and finite, got {eps}")
         gamma = solve_tangent(k).gamma
         # m / n is float(mu): int division rounds correctly
         mix, half = _mid_value(k, m / n, a, b), gamma + eps / 2.0
@@ -117,7 +112,7 @@ class WitnessSpec:
             raise InvalidSpecError(f"mixed value {mix} is not below gamma + eps/2 = {half}")
         _, delta, _ = _kernel_constants(k, a)
         # one write to the instance dict sets every field past the frozen __setattr__
-        vars(self).update(k=k, n=n, m=m, a_star=a, m_prime=n - m, mu_star=mu, b_star=b,
+        vars(self).update(k=k, n=n, m=m, a_star=a, eps=eps, m_prime=n - m, mu_star=mu, b_star=b,
                           delta=delta, analytic_bound=mix + delta / n, gamma_plus_eps=gamma + eps)
 
 
@@ -195,14 +190,11 @@ def plan_witness(
     """
     ki = _integer("k", k, 2, error=InvalidSpecError)
     n_cap = _integer("n_cap", n_cap, 1, error=InvalidSpecError)
-    if not 0.0 < eps < math.inf:
-        raise InvalidSpecError(f"eps must be positive and finite, got {eps}")
-    if not (math.isfinite(sol.idx) and float(sol.idx) == ki):
-        raise InvalidSpecError(
-            f"tangent solution is for index {sol.idx}, not for k = {ki}"
-        )
+    eps = _real("eps", eps, 0.0, math.inf, InvalidSpecError)
+    if sol.idx != ki:
+        raise InvalidSpecError(f"tangent solution is for index {sol.idx}, not for k = {ki}")
 
-    a_star, half = float(sol.a), solve_tangent(ki).gamma + eps / 2.0
+    a_star, half = sol.a, solve_tangent(ki).gamma + eps / 2.0
     for p, q in _cached_convergents(sol.mu):
         if not 0 < p < q:
             continue
@@ -221,7 +213,7 @@ def plan_witness(
                 f"witness for k={ki}, eps={eps} needs n = {n} > cap {n_cap}",
                 required_n=n,
             )
-        return WitnessSpec(k=ki, n=n, m=ki * p * scale, a_star=a_star, eps=float(eps))
+        return WitnessSpec(k=ki, n=n, m=ki * p * scale, a_star=a_star, eps=eps)
 
     raise SolverError(
         f"no continued-fraction convergent of mu={sol.mu} satisfied the "

@@ -2,6 +2,9 @@
 
 Every integer argument of the library goes through one check, so 2.5, inf,
 nan and "3" fail alike, naming the argument, and 2.0 or np.int64(2) act as 2.
+Every real parameter (a family index, eps, an abscissa) goes through one
+other check, so "3", None and nan fail alike, naming the argument and its
+range, and 3, np.float64(3.0) or np.int64(3) act as 3.0.
 
 A name left in a layer's `__all__` after its object was deleted breaks
 `from cyclic_bounds.<layer> import *` and any tool that wraps each listed
@@ -25,10 +28,10 @@ import pytest
 
 import cyclic_bounds
 from cyclic_bounds import (
-    DomainError, InvalidSpecError, MinimizeConfig, WindowError, WitnessSpec, baston_sum,
-    block_diagnostics, bounds_table, diananda_sum, eval_f, eval_f_derivative, gradient,
-    grid_oracle, lower_bound_theorem2, minimize, plan_witness, replicate, solve_tangent,
-    zero_insert,
+    DegenerateFamilyError, DomainError, InvalidSpecError, MinimizeConfig, SolverError,
+    TangentSolution, WindowError, WitnessSpec, baston_sum, block_diagnostics, bounds_table,
+    diananda_sum, eval_f, eval_f_derivative, eval_g, eval_g_derivative, gradient, grid_oracle,
+    lower_bound_theorem2, minimize, plan_witness, replicate, solve_tangent, zero_insert,
 )
 from cyclic_bounds.verification import run_verification
 
@@ -176,3 +179,44 @@ def test_nan_cap_is_refused_and_integral_floats_are_stored_as_ints():
     spec = WitnessSpec(**{**SPEC3, "k": 3.0, "n": 1266.0, "m": np.int64(633)})
     assert spec == plan_witness(3, 0.01, solve_tangent(3))
     assert (type(spec.k), type(spec.n), type(spec.m)) == (int, int, int)
+
+
+A3 = SPEC3["a_star"]
+
+# (site, call with the argument v, a valid v, exception class, argument name,
+#  its range, values outside that range)
+REAL_SITES = [
+    ("eval_g", lambda v: eval_g(v, 0.3), 3, ValueError, "idx", "(0, inf]", (0.0, -1.0)),
+    ("eval_g_derivative", lambda v: eval_g_derivative(v, 0.3), 3, ValueError, "idx",
+     "(0, inf]", (0.0, -math.inf)),
+    ("solve_tangent", solve_tangent, 3, DegenerateFamilyError, "idx", "(1, inf]", (1.0,)),
+    ("TangentSolution.idx", lambda v: TangentSolution(v, A3), 3, DegenerateFamilyError, "idx",
+     "(1, inf]", (1.0,)),
+    ("TangentSolution.a", lambda v: TangentSolution(3.0, v), A3, SolverError, "a",
+     "(-inf, inf)", (math.inf, -math.inf)),
+    ("plan_witness.eps", lambda v: plan_witness(3, v, solve_tangent(3)), 1, InvalidSpecError,
+     "eps", "(0, inf)", (0.0, math.inf)),
+    ("WitnessSpec.eps", lambda v: WitnessSpec(**{**SPEC3, "eps": v}), 1, InvalidSpecError, "eps",
+     "(0, inf)", (0.0, math.inf)),
+    ("WitnessSpec.a_star", lambda v: WitnessSpec(**{**SPEC3, "a_star": v}), A3,
+     InvalidSpecError, "a_star", "(-inf, inf)", (math.inf, -math.inf)),
+]
+
+
+@pytest.mark.parametrize("call, good, error, name, interval, outside",
+                         [row[1:] for row in REAL_SITES], ids=[row[0] for row in REAL_SITES])
+def test_one_real_check_for_every_site(call, good, error, name, interval, outside):
+    # before the shared check "3" was parsed as 3.0, nan was called degenerate,
+    # None raised a TypeError that named no argument, and TangentSolution kept
+    # its idx as it was given
+    for bad in ("3", None, math.nan, *outside):
+        with pytest.raises(error) as err:
+            call(bad)
+        assert type(err.value) is error
+        assert str(err.value) == f"{name} must be a real number in {interval}, got {bad!r}"
+    same = pickle.dumps(call(float(good)))
+    forms = [np.float64(good)]
+    if float(good).is_integer():
+        forms += [int(good), np.int64(good)]
+    for form in forms:
+        assert pickle.dumps(call(form)) == same, repr(form)

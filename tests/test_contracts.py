@@ -1,0 +1,165 @@
+"""Each real parameter either yields a result in its documented range or raises its stated class.
+
+One derandomized hypothesis strategy per real parameter spans floats (nan,
++-inf, subnormals), integers, short number-like text and None, with values
+near the edges of its domain added.  A value that is not a real in the
+parameter's range must raise the site's class with the one-format message that names the
+argument; any other value must return a result in its documented range or
+raise one of the site's stated reasons:
+
+- solve_tangent: NoBracketError within 2^-23 of 1;
+- TangentSolution: SolverError when the geometry fails;
+- plan_witness: CapacityError when the needed n exceeds n_cap or float range;
+- WitnessSpec: InvalidSpecError when the mid-certificate or a_star < 0 < b_star fails.
+"""
+
+import math
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from cyclic_bounds import (
+    CapacityError, DegenerateFamilyError, InvalidSpecError, NoBracketError, SolverError,
+    TangentSolution, WitnessSpec, eval_g, eval_g_derivative, plan_witness, solve_tangent,
+    witness_value_and_bound,
+)
+from cyclic_bounds.witness import DEFAULT_N_CAP
+
+LN2 = math.log(2.0)
+SOL3 = solve_tangent(3)
+SPEC3 = dict(k=3, n=1266, m=633, a_star=SOL3.a, eps=0.01)  # plan_witness(3, 0.01, SOL3)
+
+ANY = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.integers(),
+    st.text(alphabet="0123456789.+-eEinfa ", max_size=4),  # text float() would parse, or not
+    st.none(),
+)
+
+
+def contract(*edges):
+    """The test over ANY and the given edge strategies, with "3" and nan always tried."""
+    def wrap(test):
+        test = given(st.one_of(ANY, *edges))(test)
+        test = example(math.nan)(example("3")(test))
+        return settings(derandomize=True, database=None, max_examples=40, deadline=None)(test)
+    return wrap
+
+
+def inside(v, lo, hi=None) -> bool:
+    """Whether v is a Python real in (lo, hi), or in (lo, inf] when hi is None."""
+    if not isinstance(v, (int, float)):
+        return False
+    try:
+        x = float(v)
+    except OverflowError:  # an int beyond float range
+        return False
+    return lo < x and (hi is None or x < hi)
+
+
+def call(f, v, error, name, interval):
+    """f(v), or None after checking that a v outside interval raised error naming it."""
+    lo, hi = {"(0, inf]": (0.0, None), "(1, inf]": (1.0, None),
+              "(0, inf)": (0.0, math.inf), "(-inf, inf)": (-math.inf, math.inf)}[interval]
+    if inside(v, lo, hi):
+        return f(v)
+    with pytest.raises(error) as err:
+        f(v)
+    assert type(err.value) is error
+    assert str(err.value) == f"{name} must be a real number in {interval}, got {v!r}"
+    return None
+
+
+@contract()
+@example(5e-324)
+def test_eval_g(v):
+    r = call(lambda k: eval_g(k, 0.3), v, ValueError, "idx", "(0, inf]")
+    assert r is None or 0.0 <= r < 1.0
+    r = call(lambda k: eval_g(k, -0.3), v, ValueError, "idx", "(0, inf]")
+    assert r is None or 1.0 < r  # inf where k e^{0.3/k} overflows
+
+
+@contract()
+@example(5e-324)  # p'(x/k) was nan once x/k overflowed to inf
+@example(1e-310)
+def test_eval_g_derivative(v):
+    # strictly negative, but -0.0 where k e^x / (e^x - 1)^2 underflows
+    r = call(lambda k: eval_g_derivative(k, 0.3), v, ValueError, "idx", "(0, inf]")
+    assert r is None or -math.inf < r <= 0.0
+    r = call(lambda k: eval_g_derivative(k, -0.3), v, ValueError, "idx", "(0, inf]")
+    assert r is None or r < 0.0  # -inf where e^{0.3/k} overflows
+
+
+@contract(st.floats(1.0, 1.0 + 1e-5), st.floats(1e15, 1e308))
+@example(1.0 + 2.0**-23)
+@example(True)
+def test_solve_tangent(v):
+    try:
+        sol = call(solve_tangent, v, DegenerateFamilyError, "idx", "(1, inf]")
+    except NoBracketError:
+        assert float(v) - 1.0 < 2.0**-23
+        return
+    assert sol is None or LN2 < sol.gamma < 1.0
+
+
+@contract(st.floats(2.9, 3.1))
+@example(3)
+def test_tangent_solution_idx(v):
+    try:
+        sol = call(lambda k: TangentSolution(k, SOL3.a), v, DegenerateFamilyError, "idx",
+                   "(1, inf]")
+    except SolverError:
+        assert inside(v, 1.0)
+        return
+    assert sol is None or (LN2 < sol.gamma < 1.0 and type(sol.idx) is float)
+
+
+@contract(st.floats(-1.0, 0.0), st.sampled_from([SOL3.a]))
+def test_tangent_solution_a(v):
+    try:
+        sol = call(lambda a: TangentSolution(3.0, a), v, SolverError, "a", "(-inf, inf)")
+    except SolverError as err:
+        assert inside(v, -math.inf, math.inf), str(err)
+        return
+    assert sol is None or (LN2 < sol.gamma < 1.0 and sol.a == v)
+
+
+@contract(st.floats(1e-12, 1.0), st.floats(0.0, 1e-300))
+@example(1e-307)
+@example(5e-324)
+def test_plan_witness_eps(v):
+    try:
+        spec = call(lambda eps: plan_witness(3, eps, SOL3), v, InvalidSpecError, "eps",
+                    "(0, inf)")
+    except CapacityError as err:
+        assert err.required_n is None or err.required_n > DEFAULT_N_CAP
+        return
+    assert spec is None or witness_value_and_bound(spec).certified
+
+
+@contract(st.floats(0.0, 0.1))
+def test_witness_spec_eps(v):
+    try:
+        spec = call(lambda eps: WitnessSpec(**{**SPEC3, "eps": eps}), v, InvalidSpecError,
+                    "eps", "(0, inf)")
+    except InvalidSpecError as err:
+        assert inside(v, 0.0, math.inf) and "mixed value" in str(err)
+        return
+    if spec is not None:
+        report = witness_value_and_bound(spec)
+        assert spec.eps == v and report.value <= report.analytic_bound
+
+
+@contract(st.floats(-1.0, 0.0), st.floats(-0.34, -0.32))
+@example(SOL3.a)
+def test_witness_spec_a_star(v):
+    try:
+        spec = call(lambda a: WitnessSpec(**{**SPEC3, "a_star": a}), v, InvalidSpecError,
+                    "a_star", "(-inf, inf)")
+    except InvalidSpecError as err:
+        assert inside(v, -math.inf, math.inf), str(err)
+        return
+    if spec is not None:
+        report = witness_value_and_bound(spec)
+        assert spec.a_star == v and report.value <= report.analytic_bound
