@@ -15,22 +15,30 @@ yields the analytic certificate
 
 once n > 2 delta / eps, where delta = k^2 exp(-a*/k) - k g_k(a*).
 
-Planning and evaluation are pure Python and O(k): the value is computed from
-the closed form, without building the vector.  numpy is imported only by
-the functions that build or sum the vector, and only build_witness refuses a
-valid spec whose entries would leave float64 range.
+Planning and evaluation are pure Python, and evaluation is O(k) once per
+(k, a*): the value is computed from the closed form, without building the
+vector.  numpy is imported only by the functions that build or sum the
+vector, and only build_witness refuses a valid spec whose entries would
+leave float64 range.
 
-Nothing but the scan's threshold and the scale depends on eps, so the rest
-is memoized in bounded caches, keyed by the values each computation reads:
+Only the scan's threshold and the scale depend on eps, so the rest of a
+plan and an evaluation is memoized in one bounded cache entry per (k, a*),
+_kernel_constants(k, a*).  A tangent solution is fixed by (k, a*), so the
+entry also fixes mu_k.  It holds g_k(a*) and delta; from the first plan on,
+the convergents p/q of mu_k with b*, the mid value and Fraction(p, q) of
+each one a scan has reached; and from the first evaluation on, the exact sum
+of the k - 1 wrap terms as a few non-overlapping partials.  A scan evaluates
+a convergent only when it reaches it, so a first plan costs no more than an
+uncached one, and a hand-built tangent solution for the same k with another
+a* gets its own entry.  The wrap partials are filled by the first
+evaluation, not by the plan, so refusing a plan for a huge k costs O(1).
 
-    _cached_convergents(mu_k)  the continued-fraction convergents p/q of mu_k
-    _mid_value(k, mu*, a*, b*) the mid-certificate (1-mu*) e^{-b*} + mu* g_k(a*)
-    _kernel_constants(k, a*)   g_k(a*), delta and expm1(-a*/k)
-
-The scan evaluates a mid value only when it reaches its convergent, so a
-first plan costs no more than an uncached one, and a hand-built tangent
-solution for the same k with another a* gets its own entries.  Cached or
-not, every result has the same bits.
+A planned spec is built from the numbers the scan already holds (b*, the
+mid value, delta and gamma_k); it skips only their re-derivation, not the
+two guards every spec passes (_checked_abscissa).  It and a public
+WitnessSpec(...) write their fields through _fill, so every field is derived
+in one place.  Cached or not, planned or public, every result has the same
+bits.
 """
 
 from __future__ import annotations
@@ -97,23 +105,40 @@ class WitnessSpec:
         eps = _real("eps", self.eps, 0.0, math.inf, InvalidSpecError)
         if n % k != 0 or m % k != 0:
             raise InvalidSpecError(f"both m={m} and n={n} must be divisible by k={k}")
-        if n > sys.float_info.max:  # delta / n and the abscissas need n, m as floats
-            raise CapacityError(
-                f"witness for k={k}, eps={eps} needs n beyond float range", required_n=n
-            )
         mu = Fraction(m, n)
-        b = _right_abscissa(a, mu.numerator, mu.denominator)
-        if not (a < 0.0 < b):
-            raise InvalidSpecError(f"need a_star < 0 < b_star, got {a}, {b}")
+        b = _checked_abscissa(k, n, a, eps, mu.numerator, mu.denominator)
         gamma = solve_tangent(k).gamma
         # m / n is float(mu): int division rounds correctly
-        mix, half = _mid_value(k, m / n, a, b), gamma + eps / 2.0
+        mix, half = _mixed_value(k, m / n, a, b), gamma + eps / 2.0
         if not mix < half:
             raise InvalidSpecError(f"mixed value {mix} is not below gamma + eps/2 = {half}")
-        _, delta, _ = _kernel_constants(k, a)
-        # one write to the instance dict sets every field past the frozen __setattr__
-        vars(self).update(k=k, n=n, m=m, a_star=a, eps=eps, m_prime=n - m, mu_star=mu, b_star=b,
-                          delta=delta, analytic_bound=mix + delta / n, gamma_plus_eps=gamma + eps)
+        _fill(self, k, n, m, a, eps, mu, b, gamma, mix, _kernel_constants(k, a)[1])
+
+
+def _checked_abscissa(k: int, n: int, a: float, eps: float, p: int, q: int) -> float:
+    """b* for mu* = p/q, after the two guards every spec passes, in this order.
+
+    Raises CapacityError when n is beyond float range and InvalidSpecError
+    unless a < 0 < b*.
+    """
+    if n > sys.float_info.max:  # delta / n and the abscissas need n, m as floats
+        raise CapacityError(
+            f"witness for k={k}, eps={eps} needs n beyond float range", required_n=n
+        )
+    b = _right_abscissa(a, p, q)
+    if not (a < 0.0 < b):
+        raise InvalidSpecError(f"need a_star < 0 < b_star, got {a}, {b}")
+    return b
+
+
+def _fill(spec: WitnessSpec, k: int, n: int, m: int, a: float, eps: float, mu: Fraction,
+          b: float, gamma: float, mix: float, delta: float) -> WitnessSpec:
+    """Write every field of spec from its checked inputs, mu = m/n, b*, gamma_k,
+    the mid value mix and delta."""
+    # one write to the instance dict sets every field past the frozen __setattr__
+    vars(spec).update(k=k, n=n, m=m, a_star=a, eps=eps, m_prime=n - m, mu_star=mu, b_star=b,
+                      delta=delta, analytic_bound=mix + delta / n, gamma_plus_eps=gamma + eps)
+    return spec
 
 
 @dataclass(frozen=True)
@@ -135,18 +160,32 @@ def _right_abscissa(a_star: float, p: int, q: int) -> float:
 
 
 @lru_cache(maxsize=256)
-def _kernel_constants(k: int, a_star: float) -> tuple[float, float, float]:
-    """g_k(a*), delta = k^2 exp(-a*/k) - k g_k(a*) and expm1(-a*/k).
+def _kernel_constants(k: int, a_star: float) -> list:
+    """[g_k(a*), delta = k^2 exp(-a*/k) - k g_k(a*), None, None].
 
-    delta/n bounds what the k tail terms add; the closed form reads g_k(a*)
-    and expm1(-a*/k).
+    delta/n bounds what the k tail terms add.  The first plan replaces the
+    first None by the scan's convergents p/q of mu_k (0 < p < q) and a row
+    (mid value, b*, Fraction(p, q)) per convergent, None until a scan reaches
+    it; the first evaluation replaces the second None by the partials of the
+    closed form's k - 1 wrap terms.  Each write stores what any other caller
+    would, so concurrent callers can only repeat work.
     """
     g = eval_g(k, a_star)
-    return g, k * k * math.exp(-a_star / k) - k * g, math.expm1(-a_star / k)
+    return [g, k * k * math.exp(-a_star / k) - k * g, None, None]
 
 
-# room for about a hundred solutions' scans, which reach at most 41 convergents for k < 200
-_mid_value = lru_cache(maxsize=4096)(_mixed_value)
+def _exact_partials(terms: list[float]) -> tuple[float, ...]:
+    """Non-overlapping floats whose exact sum is that of terms, which is consumed.
+
+    msum's partials, read off fsum at C speed: fsum rounds an exact sum
+    correctly, so each pass yields the remainder of the terms less the
+    partials so far, rounded; it is appended negated until it is 0.
+    """
+    parts = []
+    while part := math.fsum(terms):
+        parts.append(part)
+        terms.append(-part)
+    return tuple(parts)
 
 
 def _convergents(x: float) -> list[tuple[int, int]]:
@@ -168,10 +207,6 @@ def _convergents(x: float) -> list[tuple[int, int]]:
     return out
 
 
-# the scan only reads the list, so the cache can hand out the one it holds
-_cached_convergents = lru_cache(maxsize=256)(_convergents)
-
-
 def plan_witness(
     k: int, eps: float, sol: TangentSolution, n_cap: int = DEFAULT_N_CAP
 ) -> WitnessSpec:
@@ -180,9 +215,10 @@ def plan_witness(
     a* is kept at the tangency abscissa of sol; each convergent p/q of mu_k is
     tried in turn with b* = -p/(q-p) * a*, advancing to the next convergent
     whenever the strict mid-certificate mu* g(a*) + (1-mu*) e^{-b*}
-    < gamma + eps/2 fails; gamma is solve_tangent(k).gamma, the value the
-    WitnessSpec re-tests against.  n = k q s with the smallest integer scale
-    s making delta/n < eps/2.
+    < gamma + eps/2 fails; gamma is solve_tangent(k).gamma, the value
+    WitnessSpec(...) tests against, so the returned spec equals the one it
+    would build from (k, n, m, a*, eps).  n = k q s with the smallest integer
+    scale s making delta/n < eps/2.
 
     Raises CapacityError only when the needed n exceeds n_cap, or when a
     tiny eps puts it beyond float range; a plan whose entries would leave
@@ -193,14 +229,23 @@ def plan_witness(
     eps = _real("eps", eps, 0.0, math.inf, InvalidSpecError)
     if sol.idx != ki:
         raise InvalidSpecError(f"tangent solution is for index {sol.idx}, not for k = {ki}")
-
-    a_star, half = sol.a, solve_tangent(ki).gamma + eps / 2.0
-    for p, q in _cached_convergents(sol.mu):
-        if not 0 < p < q:
+    a_star, gamma = sol.a, solve_tangent(ki).gamma
+    half = gamma + eps / 2.0
+    constants = _kernel_constants(ki, a_star)
+    if constants[2] is None:  # the first plan for this (k, a*)
+        convergents = [(p, q) for p, q in _convergents(sol.mu) if 0 < p < q]
+        constants[2] = (convergents, [None] * len(convergents))
+    convergents, rows = constants[2]
+    for i, (p, q) in enumerate(convergents):
+        row = rows[i]
+        if row is None:  # evaluated once, by the first scan that reaches it
+            b = _right_abscissa(a_star, p, q)
+            # convergents are coprime, so p/q is m/n in lowest terms
+            row = rows[i] = (_mixed_value(ki, p / q, a_star, b), b, Fraction(p, q))
+        mix, b, mu_star = row
+        if not mix < half:
             continue
-        if not _mid_value(ki, p / q, a_star, _right_abscissa(a_star, p, q)) < half:
-            continue
-        _, delta, _ = _kernel_constants(ki, a_star)
+        delta = constants[1]
         quotient = 2.0 * delta / (eps * ki * q)
         if quotient == math.inf:  # a subnormal eps: int() cannot take the overflow
             raise CapacityError(
@@ -213,7 +258,9 @@ def plan_witness(
                 f"witness for k={ki}, eps={eps} needs n = {n} > cap {n_cap}",
                 required_n=n,
             )
-        return WitnessSpec(k=ki, n=n, m=ki * p * scale, a_star=a_star, eps=eps)
+        _checked_abscissa(ki, n, a_star, eps, p, q)  # the guards every spec passes
+        return _fill(object.__new__(WitnessSpec), ki, n, ki * p * scale, a_star, eps,
+                     mu_star, b, gamma, mix, delta)
 
     raise SolverError(
         f"no continued-fraction convergent of mu={sol.mu} satisfied the "
@@ -273,11 +320,16 @@ def _closed_form_value(spec: WitnessSpec) -> float:
     With m' = n - m the sum is (m'/k) e^{-b*} from the nonzero sparse entries
     and the last one, (m - k + 1) g_k(a*)/k from the dense windows, and the
     k - 1 terms at i = n - s whose windows wrap onto zeros, each
-    expm1(-a*/k) / (-expm1(a* s/k)).  O(k) scalar work; no entry is formed.
+    expm1(-a*/k) / (-expm1(a* s/k)).  O(k) scalar work the first time a
+    (k, a*) is evaluated, O(1) after; no entry is formed.
     """
     k, a = spec.k, spec.a_star
-    g, _, rise = _kernel_constants(k, a)
-    wrap = (rise / -math.expm1(a * s / k) for s in range(1, k))
+    constants = _kernel_constants(k, a)
+    g, wrap = constants[0], constants[3]
+    if wrap is None:
+        rise = math.expm1(-a / k)
+        wrap = constants[3] = _exact_partials([rise / -math.expm1(a * s / k) for s in range(1, k)])
+    # the partials sum exactly to the wrap terms, so fsum rounds the same exact total
     total = math.fsum([spec.m_prime // k * math.exp(-spec.b_star),
                        (spec.m - k + 1) * g / k, *wrap])
     return k / spec.n * total

@@ -7,13 +7,19 @@ parameter's range must raise the site's class with the one-format message that n
 argument; any other value must return a result in its documented range or
 raise one of the site's stated reasons:
 
-- solve_tangent: NoBracketError within 2^-23 of 1;
+- solve_tangent: NoBracketError within 2^-23 of 1; a gamma never below gamma_inf;
 - TangentSolution: SolverError when the geometry fails;
 - plan_witness: CapacityError when the needed n exceeds n_cap or float range;
 - WitnessSpec: InvalidSpecError when the mid-certificate or a_star < 0 < b_star fails.
+
+The integer parameters k and n_cap of plan_witness get the same treatment
+against the integer check's message; an integer k that has no tangent
+solution in float range (10**400) is planned with another k's solution and
+must be refused as a mismatch.
 """
 
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,6 +33,7 @@ from cyclic_bounds import (
 from cyclic_bounds.witness import DEFAULT_N_CAP
 
 LN2 = math.log(2.0)
+GAMMA_INF = solve_tangent(math.inf).gamma
 SOL3 = solve_tangent(3)
 SPEC3 = dict(k=3, n=1266, m=633, a_star=SOL3.a, eps=0.01)  # plan_witness(3, 0.01, SOL3)
 
@@ -56,6 +63,25 @@ def inside(v, lo, hi=None) -> bool:
     except OverflowError:  # an int beyond float range
         return False
     return lo < x and (hi is None or x < hi)
+
+
+def integral(v):
+    """v as the int an integer parameter takes (an int or an integral float), else None."""
+    if isinstance(v, float):
+        return int(v) if v.is_integer() else None
+    return int(v) if isinstance(v, int) else None
+
+
+def call_integer(f, v, error, name, lo):
+    """f(v), or None after checking that a v that is no integer >= lo raised error naming it."""
+    i = integral(v)
+    if i is not None and i >= lo:
+        return f(v)
+    with pytest.raises(error) as err:
+        f(v)
+    assert type(err.value) is error
+    assert str(err.value) == f"{name} must be an integer >= {lo}, got {v!r}"
+    return None
 
 
 def call(f, v, error, name, interval):
@@ -94,13 +120,14 @@ def test_eval_g_derivative(v):
 @contract(st.floats(1.0, 1.0 + 1e-5), st.floats(1e15, 1e308))
 @example(1.0 + 2.0**-23)
 @example(True)
+@example(1e300)  # its gamma was two ulps below the limit's
 def test_solve_tangent(v):
     try:
         sol = call(solve_tangent, v, DegenerateFamilyError, "idx", "(1, inf]")
     except NoBracketError:
         assert float(v) - 1.0 < 2.0**-23
         return
-    assert sol is None or LN2 < sol.gamma < 1.0
+    assert sol is None or GAMMA_INF <= sol.gamma < 1.0
 
 
 @contract(st.floats(2.9, 3.1))
@@ -149,6 +176,44 @@ def test_witness_spec_eps(v):
     if spec is not None:
         report = witness_value_and_bound(spec)
         assert spec.eps == v and report.value <= report.analytic_bound
+
+
+INTEGER_EDGES = (0, 1, 2, 2.5, 2**53, 10**400)
+
+
+def integer_contract(*edges):
+    """contract() with the integer edges added as examples."""
+    def wrap(test):
+        for v in INTEGER_EDGES:
+            test = example(v)(test)
+        return contract(*edges)(test)
+    return wrap
+
+
+@integer_contract(st.integers(2, 40), st.sampled_from([2.0**53, 10**6, 10**9]))
+def test_plan_witness_k(v):
+    k = integral(v)
+    sol = solve_tangent(k) if k is not None and 2 <= k <= sys.float_info.max else SOL3
+    try:
+        spec = call_integer(lambda k: plan_witness(k, 0.01, sol), v, InvalidSpecError, "k", 2)
+    except CapacityError as err:
+        assert err.required_n > DEFAULT_N_CAP
+        return
+    except InvalidSpecError as err:  # an index beyond float range has no solution of its own
+        assert sol is SOL3 and k > sys.float_info.max and f"not for k = {k}" in str(err)
+        return
+    assert spec is None or witness_value_and_bound(spec).certified
+
+
+@integer_contract(st.integers(1, 2000), st.integers(10**7, 10**400))
+def test_plan_witness_n_cap(v):
+    try:
+        spec = call_integer(lambda cap: plan_witness(3, 0.01, SOL3, n_cap=cap), v,
+                            InvalidSpecError, "n_cap", 1)
+    except CapacityError as err:
+        assert err.required_n == SPEC3["n"] > integral(v)
+        return
+    assert spec is None or (spec.n == SPEC3["n"] and witness_value_and_bound(spec).certified)
 
 
 @contract(st.floats(-1.0, 0.0), st.floats(-0.34, -0.32))

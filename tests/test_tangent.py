@@ -233,6 +233,35 @@ class TestMonotoneResidual:
         assert gammas[-1] > solve_tangent(INFINITY).gamma
 
 
+class TestLimitEdge:
+    """gamma_k decreases to gamma_inf like c1/k, and never lands below it."""
+
+    # both sides of 2^49, where c1/k falls to 3.6 ulps of gamma, and the band up to 2^53
+    @pytest.mark.parametrize("k", [1e12, 1e14, 5e14, math.nextafter(2.0**49, 0.0), 2.0**49,
+                                   2e15, 1e16, 2.0**53, 1e100, 1e300, 1e308])
+    def test_far_index_not_below_the_limit(self, k):
+        # g_k > g_inf for x < 0, so gamma_k > gamma_inf; 1e300 once landed two ulps below
+        sol, limit = solve_tangent(k), solve_tangent(INFINITY)
+        assert sol.gamma >= limit.gamma
+        assert sol.idx == k and TangentSolution(k, sol.a) == sol
+        if k >= 2.0**49:  # c1/k is under the solve's scatter: the limit's geometry, under index k
+            assert dataclasses.replace(limit, idx=k) == sol
+        else:  # a solve of its own, above the limit by about c1/k
+            assert sol.gamma - limit.gamma >= 0.2260 / k - 3 * math.ulp(limit.gamma)
+
+    def test_first_order_rate(self):
+        # c1 = mu (-a) g(a) / 2 at the limit's solution (envelope theorem with
+        # p'(0) = -1/2), computed, not fitted
+        limit = solve_tangent(INFINITY)
+        c1 = limit.mu * -limit.a * eval_g(INFINITY, limit.a) / 2.0
+        assert c1 == pytest.approx(0.22601836872755374, rel=1e-15)
+        for k in (10**2, 10**3, 10**4, 10**5, 10**6, 10**7):
+            assert abs(k * (solve_tangent(k).gamma - limit.gamma) - c1) <= 0.5 / k, k
+
+    def test_smallest_k_below_the_paper_ceiling(self):
+        assert solve_tangent(116_606).gamma < 0.9305 <= solve_tangent(116_605).gamma
+
+
 class TestNearOne:
     def test_solves_just_above_one(self):
         k = 1.000002

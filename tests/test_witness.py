@@ -8,6 +8,7 @@ closed forms from the spec fields.
 import dataclasses
 import hashlib
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -27,15 +28,14 @@ from cyclic_bounds.tangent import TangentSolution, _mixed_value
 from cyclic_bounds.witness import (
     WitnessReport,
     WitnessSpec,
-    _cached_convergents,
     _convergents,
+    _exact_partials,
     _kernel_constants,
-    _mid_value,
     _right_abscissa,
 )
 
 # the bounded caches behind planning and evaluation
-MEMOS = (_cached_convergents, _mid_value, _kernel_constants)
+MEMOS = (_kernel_constants,)
 
 
 def clear_memos():
@@ -329,12 +329,14 @@ class TestPlanWitness:
                 assert self.pin(3, 0.001, 10**7, sol) == pins[sol]
                 # the cached convergents are this solution's, not another's:
                 # the two mu differ from the 15th convergent on, which no plan reaches
-                assert _cached_convergents(sol.mu) == _convergents(sol.mu)
+                convergents, rows = _kernel_constants(3, sol.a)[2]
+                assert convergents == [(p, q) for p, q in _convergents(sol.mu) if 0 < p < q]
                 # and so are the mid values of the two it tried, 1/2 and 2/5: at
-                # 1/2 the two solutions' values differ by one ulp
-                for p, q in ((1, 2), (2, 5)):
+                # 1/2 the two solutions' values differ by one ulp; no later one is evaluated
+                assert convergents[:2] == [(1, 2), (2, 5)] and rows[2:] == [None] * len(rows[2:])
+                for (p, q), (mix, _, _) in zip(convergents, rows[:2]):
                     args = (3, p / q, sol.a, _right_abscissa(sol.a, p, q))
-                    assert _mid_value(*args) == _mixed_value(*args)
+                    assert mix == _mixed_value(*args)
         for memo in MEMOS:
             assert isinstance(memo.cache_info().maxsize, int)
 
@@ -547,3 +549,102 @@ class TestValueAndBound:
         assert rec["k"] == 2
         assert rec["n"] == spec.n
         assert rec["delta"] == pytest.approx(spec.delta, rel=1e-15)
+
+
+def same_spec(planned):
+    """Check planned against the spec WitnessSpec(...) re-derives from its five inputs."""
+    public = WitnessSpec(planned.k, planned.n, planned.m, planned.a_star, planned.eps)
+    assert planned == public and hash(planned) == hash(public)
+    assert repr(planned) == repr(public)
+    assert pickle.dumps(planned) == pickle.dumps(public)
+    for f in dataclasses.fields(WitnessSpec):
+        x, y = getattr(planned, f.name), getattr(public, f.name)
+        assert type(x) is type(y), f.name
+        if isinstance(x, float):
+            assert x.hex() == y.hex(), f.name
+        elif isinstance(x, Fraction):
+            assert (x.numerator, x.denominator) == (y.numerator, y.denominator), f.name
+        else:
+            assert x == y, f.name
+
+
+class TestPlannedSpec:
+    """plan_witness builds its spec from the scan's numbers instead of re-deriving them."""
+
+    CERTIFY_GRID = [(k, eps) for k in (2, 3, 4, 5, 6) for eps in (1e-2, 1e-3, 1e-4, 1e-5)]
+
+    @pytest.mark.parametrize("k, eps", CERTIFY_GRID)
+    def test_certify_grid_plan_equals_public_spec(self, k, eps):
+        same_spec(plan_witness(k, eps, solve_tangent(k)))
+
+    def test_one_ulp_off_solution_plan_equals_public_spec(self):
+        sol = TangentSolution(idx=3.0, a=math.nextafter(solve_tangent(3).a, 0.0))
+        for eps in (1e-3, float.fromhex("0x1.1273df7b96880p-8")):
+            same_spec(plan_witness(3, eps, sol))
+
+    def test_headline_plan_equals_public_spec(self):
+        same_spec(plan_witness(230_000, 9e-7, solve_tangent(230_000), n_cap=10**18))
+
+    def test_public_spec_refusals_keep_their_order(self):
+        # n beyond float range is refused before gamma_k is solved for a k beyond it,
+        # and a* < 0 < b* before the mid-certificate
+        with pytest.raises(CapacityError, match="needs n beyond float range"):
+            WitnessSpec(10**400, 2 * 10**400, 10**400, -0.3, 0.01)
+        with pytest.raises(InvalidSpecError, match="a_star < 0 < b_star"):
+            WitnessSpec(2, 4, 2, 0.5, 0.01)
+
+    def test_repeated_plan_equals_the_first_spec(self):
+        sol = solve_tangent(2)
+        spec = plan_witness(2, 0.01, sol)
+        assert plan_witness(2.0, 0.01, sol) == spec
+        # from warm caches, the same plan under a smaller cap is still refused
+        with pytest.raises(CapacityError):
+            plan_witness(2, 0.01, sol, n_cap=100)
+
+    @pytest.mark.parametrize("eps", [1e-320, 5e-324])
+    def test_subnormal_eps_with_unbounded_cap_is_capacity_error(self, eps):
+        with pytest.raises(CapacityError, match="beyond float range"):
+            plan_witness(3, eps, solve_tangent(3), n_cap=10**400)
+
+
+class TestWrapMemo:
+    """The k - 1 wrap terms are summed once per (k, a*), as exact partials in the kernel entry."""
+
+    @staticmethod
+    def wrap_terms(k, a):
+        return [math.expm1(-a / k) / -math.expm1(a * s / k) for s in range(1, k)]
+
+    @pytest.mark.parametrize("k", [2, 3, 6, 1000, 230_000])
+    def test_partials_keep_the_exact_sum(self, k):
+        terms = self.wrap_terms(k, solve_tangent(k).a)
+        parts = _exact_partials(list(terms))
+        assert 1 <= len(parts) <= 3
+        # non-overlapping: each partial is below half an ulp of the one before
+        assert all(abs(lo) <= math.ulp(hi) / 2 for hi, lo in zip(parts, parts[1:]))
+        rng = np.random.default_rng(k)
+        for x, y in zip(rng.uniform(0.0, 1e6, 50), rng.uniform(-1.0, 1.0, 50)):
+            assert math.fsum([x, y, *parts]) == math.fsum([x, y, *terms])
+
+    def test_exact_partials_of_cancelling_terms(self):
+        assert _exact_partials([1e16, 1.0, -1e16]) == (1.0,)
+        assert _exact_partials([1.0, 2.0**-60]) == (1.0, 2.0**-60)
+        assert _exact_partials([]) == ()
+
+    def test_first_evaluation_fills_the_entry(self):
+        clear_memos()
+        sol = solve_tangent(4)
+        spec = plan_witness(4, 1e-3, sol)
+        assert _kernel_constants(4, sol.a)[3] is None  # the plan never sums the wrap
+        assert _kernel_constants(4, sol.a)[2] is not None  # but keeps its scan
+        value = witness_value_and_bound(spec).value
+        parts = _kernel_constants(4, sol.a)[3]
+        assert parts == _exact_partials(self.wrap_terms(4, sol.a))
+        assert witness_value_and_bound(spec).value.hex() == value.hex()
+
+    def test_refusing_a_huge_k_sums_no_wrap(self):
+        # 10^9 wrap terms would take minutes and gigabytes; the plan needs only delta
+        k = 10**9
+        sol = solve_tangent(k)
+        with pytest.raises(CapacityError):
+            plan_witness(k, 1e-3, sol)
+        assert _kernel_constants(k, sol.a)[3] is None
