@@ -1,9 +1,23 @@
 """Randomized invariant suites, seed-reproducible and machine-readable.
 
-Each group draws its own cases from a seeded generator, counts failures, and
-reports the worst margin it saw.  The "fast" suite covers the kernel-family
-and transform invariants; "all" adds the gradient/Euler checks and the
-floor sweep over random vectors.  Identical seeds give byte-identical JSON.
+One generator, seeded once, is shared by the groups in their listed order:
+each group takes its draws where the one before it stopped, counts
+failures, and reports the worst margin it saw.  The "fast" suite covers the
+kernel-family and transform invariants; "all" adds the gradient/Euler checks
+and the floor sweep over random vectors.  Identical seeds give
+byte-identical JSON.
+
+The groups that sum cyclic vectors draw a block of up to _BLOCK cases
+whole, evaluate it, then draw the next (`_drawn`); the reference sums of a
+block are computed together by `_ragged_sums`, bit for bit those of
+`diananda_sum`.  No evaluation draws, so the stream, and with it every
+report, depends only on the order of the draws, never on the block size.
+Runs of same-range uniforms with no other draw between them are taken in
+one call, which yields the same stream as one call per value.  The
+functions a group exists to check (the scalar kernels, `block_diagnostics`,
+`replicate`, `zero_insert`, `gradient`) are called once per case, and the
+kernels are never evaluated through numpy, whose SIMD exp and expm1 can
+differ from libm in the last bit.
 """
 
 from __future__ import annotations
@@ -26,14 +40,7 @@ from .funcs import (
     lower_bound_theorem2,
 )
 from .optimize import gradient
-from .sums import (
-    CyclicVector,
-    block_diagnostics,
-    diananda_sum,
-    replicate,
-    zero_insert,
-    _window_sums,
-)
+from .sums import CyclicVector, block_diagnostics, replicate, zero_insert
 from .tangent import solve_tangent
 
 __all__ = ["GroupResult", "VerificationReport", "run_verification", "report_to_json"]
@@ -100,35 +107,94 @@ class _Tally:
         return GroupResult(name, self.cases, self.failures, self.worst)
 
 
-def _row_sums(rows: np.ndarray, k: int) -> np.ndarray:
-    """diananda_sum of each row of positive entries, shape (..., n), bit for bit.
+# Cases drawn before a block is evaluated; it bounds the arrays a group holds
+# at once (a block of 256 cases raised the peak RSS of a run by about 1 MB).
+_BLOCK = 64
 
-    The window sums and quotients are those of `diananda_sum`, and the sum
-    along the last axis of a contiguous array adds each row in numpy's
-    pairwise order, as the sum of that row alone would.  It skips the
+
+def _drawn(draw, count: int):
+    """The results of count calls of draw(), as lists of at most _BLOCK cases.
+
+    Each list is drawn whole before it is yielded, so the evaluation of a
+    list, which draws nothing, leaves the stream as if no evaluation ran.
+    """
+    for first in range(0, count, _BLOCK):
+        yield [draw() for _ in range(min(_BLOCK, count - first))]
+
+
+def _ragged_sums(cases) -> np.ndarray:
+    """diananda_sum of every row of every (rows, k) case, bit for bit, in case and row order.
+
+    rows is one row (1-d) or a stack of rows (2-d) of nonnegative entries
+    whose windows of k <= n entries all have positive sums; lengths and k may
+    differ between cases.  Each row is laid out as its n entries and then
+    its first k again, and the rows follow each other sorted by k, longest
+    first.  The d = 0 slice of that layout is copied, and each offset
+    d = 1..k_max-1 is added as one slice over the leading rows whose k
+    exceeds d.  So each window adds its own entries in the order d = 0..k-1,
+    as `diananda_sum` does.  The quotients of the rows of one length are
+    gathered into one contiguous array, whose sum along the last axis adds
+    each row in numpy's pairwise order, as the sum of that row alone would.
+    The layout ends in ones, so the windows that run past the last row,
+    whose quotients are never gathered, stay positive.  It skips the
     `CyclicVector` copy and checks, which cost more than the sum at small n.
     """
-    return (rows / _window_sums(rows, k, 1)).sum(axis=-1)
+    firsts, total = [], 0
+    for rows, _ in cases:
+        firsts.append(total)
+        total += 1 if rows.ndim == 1 else rows.shape[0]
+    order = sorted(range(len(cases)), key=lambda i: -cases[i][1])
+    pieces, ends, by_length = [], [], {}
+    at = 0
+    for i in order:
+        rows, k = cases[i]
+        n = rows.shape[-1]
+        starts, outs = by_length.setdefault(n, ([], []))
+        if rows.ndim == 1:
+            pieces += (rows, rows[:k])
+            starts.append(at)
+            outs.append(firsts[i])
+            at += n + k
+        else:
+            span = rows.shape[0] * (n + k)
+            pieces.append(np.concatenate((rows, rows[:, :k]), axis=1).ravel())
+            starts.extend(range(at, at + span, n + k))
+            outs.extend(range(firsts[i], firsts[i] + rows.shape[0]))
+            at += span
+        ends.append(at)
+    k_max = cases[order[0]][1]
+    ext = np.concatenate(pieces + [np.ones(k_max)])
+    win = ext[1 : at + 1].copy()
+    lead = len(order)
+    for d in range(1, k_max):
+        while cases[order[lead - 1]][1] <= d:
+            lead -= 1
+        end = ends[lead - 1]
+        win[:end] += ext[1 + d : 1 + d + end]
+    np.divide(ext[:at], win, out=win)
+    out = np.empty(total)
+    for n, (starts, outs) in by_length.items():
+        out[outs] = win[np.add.outer(starts, np.arange(n))].sum(axis=-1)
+    return out
 
 
 def _sample_indices(rng, count):
     """Family indices: positive reals across several decades plus INFINITY."""
-    ks = list(np.exp(rng.uniform(math.log(0.2), math.log(200.0), count - 1)))
-    ks.append(INFINITY)
-    return ks
+    return np.exp(rng.uniform(math.log(0.2), math.log(200.0), count - 1)).tolist() + [INFINITY]
 
 
 def _kernel_shape(rng, scale: int) -> GroupResult:
     """Positivity and monotone decrease of the kernels and of p on [-30, 30]."""
     tally = _Tally(min, math.inf)
-    for k in _sample_indices(rng, 3 * scale):
-        xs = np.sort(rng.uniform(-30.0, 30.0, 8))
-        vals = [eval_g(k, x) for x in xs]
+    ks = _sample_indices(rng, 3 * scale)
+    points = np.sort(rng.uniform(-30.0, 30.0, (len(ks), 8)), axis=1)
+    for k, xs in zip(ks, points):
+        vals = [eval_g(k, x) for x in xs.tolist()]
         for v in vals:
             tally.check(v > 0.0, v)
         for lo, hi in zip(vals, vals[1:]):
             tally.check(hi < lo, lo - hi)
-    xs = np.sort(rng.uniform(-30.0, 30.0, 4 * scale))
+    xs = np.sort(rng.uniform(-30.0, 30.0, 4 * scale)).tolist()
     pv = [eval_p(x) for x in xs]
     for v in pv:
         tally.check(v > 0.0)
@@ -139,9 +205,9 @@ def _kernel_shape(rng, scale: int) -> GroupResult:
 
 def _check_midpoint(tally: _Tally, f, x, z) -> None:
     """f at the midpoint of x and z against the mean of f(x) and f(z)."""
-    fm = f(0.5 * (x + z))
-    avg = 0.5 * (f(x) + f(z))
-    slack = 1e-12 + 1e-13 * (abs(f(x)) + abs(f(z)))
+    fm, fx, fz = f(0.5 * (x + z)), f(x), f(z)
+    avg = 0.5 * (fx + fz)
+    slack = 1e-12 + 1e-13 * (abs(fx) + abs(fz))
     tally.check(fm <= avg + slack, fm - avg)
 
 
@@ -152,16 +218,17 @@ def _kernel_convexity(rng, scale: int) -> GroupResult:
     the left end of the test interval.
     """
     tally = _Tally(max, -math.inf)
-    for k in _sample_indices(rng, 2 * scale):
-        for _ in range(4):
-            x, z = rng.uniform(-30.0, 30.0, 2)
+    ks = _sample_indices(rng, 2 * scale)
+    g_pairs = rng.uniform(-30.0, 30.0, (len(ks), 4, 2))
+    p_pairs = rng.uniform(-30.0, 30.0, (3 * scale, 2))
+    for k, pairs in zip(ks, g_pairs):
+        for x, z in pairs.tolist():
             _check_midpoint(tally, partial(eval_g, k), x, z)
-    for _ in range(3 * scale):
-        x, z = rng.uniform(-30.0, 30.0, 2)
+    for x, z in p_pairs.tolist():
         _check_midpoint(tally, eval_p, x, z)
     for _ in range(3 * scale):
         kf = int(rng.integers(1, 9))
-        t, u = rng.uniform(-20.0, 20.0, 2)
+        t, u = rng.uniform(-20.0, 20.0, 2).tolist()
         _check_midpoint(tally, partial(eval_f, kf), t, u)
     return tally.result("kernel_convexity")
 
@@ -170,7 +237,7 @@ def _kernel_growth_in_k(rng, scale: int) -> GroupResult:
     """k(1 - e^{-x/k}), evaluated as eval_g(k,x) * (e^x - 1), grows with k for x != 0."""
     tally = _Tally(min, math.inf)
     for _ in range(6 * scale):
-        k1, k2 = np.sort(np.exp(rng.uniform(math.log(0.2), math.log(500.0), 2)))
+        k1, k2 = sorted(np.exp(rng.uniform(math.log(0.2), math.log(500.0), 2)).tolist())
         if k2 <= k1:
             continue
         x = rng.uniform(-30.0, 30.0)
@@ -187,7 +254,7 @@ def _kernel_ordering_in_k(rng, scale: int) -> GroupResult:
     """g_{k2}(x) > g_{k1}(x) > e^{-x} for x > 0, k2 > k1 > 1; reversed for x < 0."""
     tally = _Tally(min, math.inf)
     for _ in range(6 * scale):
-        k1, k2 = np.sort(1.0 + np.exp(rng.uniform(math.log(1e-3), math.log(100.0), 2)))
+        k1, k2 = sorted((1.0 + np.exp(rng.uniform(math.log(1e-3), math.log(100.0), 2))).tolist())
         if k2 <= k1:
             continue
         x = rng.uniform(0.01, 30.0)
@@ -202,8 +269,7 @@ def _kernel_ordering_in_k(rng, scale: int) -> GroupResult:
 def _kernel_limit(rng, scale: int) -> GroupResult:
     """eval_g(1e6, x) approaches the limit kernel within 1e-5 relative on |x| <= 10."""
     tally = _Tally(max, 0.0)
-    xs = rng.uniform(-10.0, 10.0, 4 * scale)
-    for x in xs:
+    for x in rng.uniform(-10.0, 10.0, 4 * scale).tolist():
         lim = eval_g(INFINITY, x)
         rel = abs(eval_g(1e6, x) - lim) / abs(lim)
         tally.check(rel <= 1e-5, rel)
@@ -223,10 +289,11 @@ def _check_slope(tally: _Tally, f, df, x, sign: float) -> None:
 def _derivative_consistency(rng, scale: int) -> GroupResult:
     """Analytic derivatives match central differences to 1e-6 relative."""
     tally = _Tally(max, 0.0)
-    for k in _sample_indices(rng, 2 * scale):
-        for _ in range(3):
-            _check_slope(tally, partial(eval_g, k), partial(eval_g_derivative, k),
-                         rng.uniform(-20.0, 20.0), -1.0)
+    ks = _sample_indices(rng, 2 * scale)
+    g_points = rng.uniform(-20.0, 20.0, (len(ks), 3))
+    for k, xs in zip(ks, g_points):
+        for x in xs.tolist():
+            _check_slope(tally, partial(eval_g, k), partial(eval_g_derivative, k), x, -1.0)
     for _ in range(3 * scale):
         kf = int(rng.integers(1, 9))
         _check_slope(tally, partial(eval_f, kf), partial(eval_f_derivative, kf),
@@ -237,102 +304,137 @@ def _derivative_consistency(rng, scale: int) -> GroupResult:
 def _block_diagnostics_group(rng, scale: int) -> GroupResult:
     """Telescoping product, per-block floor, and term accounting on random blocks."""
     tally = _Tally(max, 0.0)
-    for _ in range(2 * scale):
+
+    def draw():
         k = int(rng.integers(1, 9))
         nu = int(rng.integers(1, 17))
-        x = CyclicVector(np.exp(rng.uniform(-3.0, 3.0, k * nu)))
-        diag = block_diagnostics(x, k)
-        prod = float(np.prod(diag.ratios))
-        err = abs(prod - 1.0)
-        tally.check(err <= 1e-12, err)
-        for r, s in zip(diag.ratios, diag.partials):
-            floor = eval_f(k, math.log(r))
-            tally.check(s >= floor - 1e-12, floor - s)
-        total = float(np.sum(diag.partials))
-        ref = diananda_sum(x, k)
-        rel = abs(total - ref) / ref
-        tally.check(rel <= 1e-12, rel)
+        return np.exp(rng.uniform(-3.0, 3.0, k * nu)), k
+
+    for cases in _drawn(draw, 2 * scale):
+        for (x, k), ref in zip(cases, _ragged_sums(cases).tolist()):
+            diag = block_diagnostics(x, k)
+            err = abs(float(diag.ratios.prod()) - 1.0)
+            tally.check(err <= 1e-12, err)
+            for r, s in zip(diag.ratios.tolist(), diag.partials.tolist()):
+                floor = eval_f(k, math.log(r))
+                tally.check(s >= floor - 1e-12, floor - s)
+            rel = abs(float(diag.partials.sum()) - ref) / ref
+            tally.check(rel <= 1e-12, rel)
     return tally.result("block_diagnostics")
 
 
 def _transform_identities(rng, scale: int) -> GroupResult:
-    """Replication and zero-insertion preserve the (normalized) cyclic sum."""
+    """Replication and zero-insertion preserve the (normalized) cyclic sum.
+
+    The reference sums of x, its replication and its zero-insertion are the
+    rows of one batch per block of cases.
+    """
     tally = _Tally(max, 0.0)
-    for _ in range(2 * scale):
+
+    def draw():
         k = int(rng.integers(1, 7))
         nu = int(rng.integers(1, 9))
-        n = k * nu
-        x = CyclicVector(np.exp(rng.uniform(-3.0, 3.0, n)))
-        base = diananda_sum(x, k)
-        copies = int(rng.integers(2, 5))
-        rep = replicate(x, copies)
-        rel = abs(diananda_sum(rep, k) / len(rep) - base / n) / (base / n)
-        tally.check(rel <= 1e-12, rel)
-        ins = zero_insert(x, k)
-        rel = abs(diananda_sum(ins, k + 1) - base) / base
-        tally.check(rel <= 1e-12, rel)
+        x = CyclicVector(np.exp(rng.uniform(-3.0, 3.0, k * nu)))
+        rep = replicate(x, int(rng.integers(2, 5)))
+        return (x.entries, k), (rep.entries, k), (zero_insert(x, k).entries, k + 1)
+
+    for cases in _drawn(draw, 2 * scale):
+        sums = iter(_ragged_sums([row for case in cases for row in case]).tolist())
+        for ((x, _), (rep, _), _), base, rep_sum, ins_sum in zip(cases, sums, sums, sums):
+            n = x.size
+            rel = abs(rep_sum / rep.size - base / n) / (base / n)
+            tally.check(rel <= 1e-12, rel)
+            rel = abs(ins_sum - base) / base
+            tally.check(rel <= 1e-12, rel)
     return tally.result("transform_identities")
 
 
 def _invariance(rng, scale: int) -> GroupResult:
     """Degree-zero scaling and rotation invariance of the cyclic sum.
 
-    x, c * x and a rotation of x are summed as the rows of one batch.
+    x, c * x and a rotation of x are summed as rows of one batch per block
+    of cases.
     """
     tally = _Tally(max, 0.0)
-    for _ in range(2 * scale):
+
+    def draw():
         n = int(rng.integers(2, 40))
         k = int(rng.integers(1, n + 1))
         x = np.exp(rng.uniform(-3.0, 3.0, n))
         c = math.exp(rng.uniform(-8.0, 8.0))
         shift = int(rng.integers(0, n))
-        base, scaled, rolled = _row_sums(np.stack((x, c * x, np.roll(x, shift))), k).tolist()
-        rel = abs(scaled - base) / base
-        tally.check(rel <= 1e-10, rel)
-        rel = abs(rolled - base) / base
-        tally.check(rel <= 1e-12, rel)
+        return (x, k), (c * x, k), (np.concatenate((x[n - shift :], x[: n - shift])), k)
+
+    for cases in _drawn(draw, 2 * scale):
+        sums = iter(_ragged_sums([row for case in cases for row in case]).tolist())
+        for base, scaled, rolled in zip(sums, sums, sums):
+            rel = abs(scaled - base) / base
+            tally.check(rel <= 1e-10, rel)
+            rel = abs(rolled - base) / base
+            tally.check(rel <= 1e-12, rel)
     return tally.result("invariance")
 
 
-def _gradient_euler(rng, scale: int) -> GroupResult:
-    """Finite-difference agreement of the gradient and the Euler identity.
+def _central_differences(cases) -> list:
+    """For each (x, k), the central differences of diananda_sum(., k) at x with steps h = 1e-6 x.
 
-    The 2n perturbed vectors x +- h_m e_m (h_m = 1e-6 x_m) are the rows of two
-    (n, n) arrays, each summed by one `_row_sums` call; every central
-    difference is bit for bit the one computed from 2n `diananda_sum` calls.
+    The 2n perturbed vectors x +- h_m e_m of the cases of one length are the
+    rows of one `_ragged_sums` batch, so every difference is bit for bit the
+    one computed from 2n `diananda_sum` calls.  One batch per length, not per
+    block: the rows of a whole block raised the peak RSS by about 1 MB.
     """
+    by_length: dict[int, list] = {}
+    for i, (x, _) in enumerate(cases):
+        by_length.setdefault(x.size, []).append(i)
+    fds = [None] * len(cases)
+    for n, idx in by_length.items():
+        xs = np.stack([cases[i][0] for i in idx])
+        hs = 1e-6 * xs
+        diag = np.arange(n)
+        plus = np.repeat(xs[:, None, :], n, axis=1)
+        minus = plus.copy()
+        plus[:, diag, diag] += hs
+        minus[:, diag, diag] -= hs
+        batch = [(rows[j], cases[i][1]) for j, i in enumerate(idx) for rows in (plus, minus)]
+        pm = _ragged_sums(batch).reshape(-1, 2, n)
+        for i, fd in zip(idx, (pm[:, 0] - pm[:, 1]) / (2.0 * hs)):
+            fds[i] = fd
+    return fds
+
+
+def _gradient_euler(rng, scale: int) -> GroupResult:
+    """Finite-difference agreement of the gradient and the Euler identity."""
     tally = _Tally(max, 0.0)
-    for _ in range(scale):
+
+    def draw():
         n = int(rng.integers(3, 21))
         k = int(rng.integers(1, n + 1))
-        x = np.exp(rng.uniform(-2.0, 2.0, n))
-        g = gradient(x, k)
-        scale_g = max(1.0, float(np.abs(g).max()))
-        h = 1e-6 * x
-        diag = np.arange(n)
-        xp = np.tile(x, (n, 1))
-        xm = xp.copy()
-        xp[diag, diag] += h
-        xm[diag, diag] -= h
-        fd = (_row_sums(xp, k) - _row_sums(xm, k)) / (2.0 * h)
-        for err in np.abs(fd - g) / scale_g:
-            tally.check(err <= 1e-6, err)
-        euler = abs(float(np.dot(x, g))) / max(1.0, float(np.abs(x * g).sum()))
-        tally.check(euler <= 1e-10, euler)
+        return np.exp(rng.uniform(-2.0, 2.0, n)), k
+
+    for cases in _drawn(draw, scale):
+        for (x, k), fd in zip(cases, _central_differences(cases)):
+            g = gradient(x, k)
+            scale_g = max(1.0, float(np.abs(g).max()))
+            for err in np.abs(fd - g) / scale_g:
+                tally.check(err <= 1e-6, err)
+            euler = abs(float(np.dot(x, g))) / max(1.0, float(np.abs(x * g).sum()))
+            tally.check(euler <= 1e-10, euler)
     return tally.result("gradient_euler")
 
 
 def _floor_sweep(rng, scale: int) -> GroupResult:
     """Every evaluated positive vector respects the k (2^{1/k} - 1) floor."""
     tally = _Tally(min, math.inf)
-    for _ in range(6 * scale):
+
+    def draw():
         n = int(rng.integers(1, 60))
         k = int(rng.integers(1, n + 1))
-        x = np.exp(rng.uniform(-4.0, 4.0, n))
-        val = (k / n) * float(_row_sums(x, k))
-        floor = lower_bound_theorem2(k)
-        margin = val - floor
-        tally.check(margin >= -1e-9, margin)
+        return np.exp(rng.uniform(-4.0, 4.0, n)), k
+
+    for cases in _drawn(draw, 6 * scale):
+        for (x, k), s in zip(cases, _ragged_sums(cases).tolist()):
+            margin = (k / x.size) * s - lower_bound_theorem2(k)
+            tally.check(margin >= -1e-9, margin)
     return tally.result("floor_sweep")
 
 

@@ -35,7 +35,7 @@ evaluation, not by the plan, so refusing a plan for a huge k costs O(1).
 
 A planned spec is built from the numbers the scan already holds (b*, the
 mid value, delta and gamma_k); it skips only their re-derivation, not the
-two guards every spec passes (_checked_abscissa).  It and a public
+guards every spec passes (_checked_abscissa).  It and a public
 WitnessSpec(...) write their fields through _fill, so every field is derived
 in one place.  Cached or not, planned or public, every result has the same
 bits.
@@ -116,10 +116,11 @@ class WitnessSpec:
 
 
 def _checked_abscissa(k: int, n: int, a: float, eps: float, p: int, q: int) -> float:
-    """b* for mu* = p/q, after the two guards every spec passes, in this order.
+    """b* for mu* = p/q, after the guards every spec passes, in this order.
 
     Raises CapacityError when n is beyond float range and InvalidSpecError
-    unless a < 0 < b*.
+    unless a < 0 < b* and a / k < 0: the wrap terms divide by expm1(a s / k),
+    which is 0 once a / k underflows.
     """
     if n > sys.float_info.max:  # delta / n and the abscissas need n, m as floats
         raise CapacityError(
@@ -128,6 +129,8 @@ def _checked_abscissa(k: int, n: int, a: float, eps: float, p: int, q: int) -> f
     b = _right_abscissa(a, p, q)
     if not (a < 0.0 < b):
         raise InvalidSpecError(f"need a_star < 0 < b_star, got {a}, {b}")
+    if not a / k < 0.0:
+        raise InvalidSpecError(f"a_star / k underflows to 0 for a_star = {a}, k = {k}")
     return b
 
 

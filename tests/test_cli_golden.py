@@ -54,6 +54,23 @@ CASES = [
     ),
     ("verify --suite fast --seed 0", "a0c2f5b56481f66d9e9691fa72675d0fa8c449bf38b5f2022522be9261c4a61d", None),
     ("verify --suite all --seed 1", "8859f2cae691fab46d08ebf319ea47888db5015adbf31a806e6626dff30dcf78", "verify/1"),
+    # captured before the verify groups drew first and summed in batches
+    ("verify --suite fast --seed 1", "facacd202fe1c541ad68e44707f9bf7fecb94886241f4d505c415b4c30600c97", None),
+    ("verify --suite fast --seed 2", "fed802abaf465abd45f8ef1cdccf896962f46ae8c1ae3bf9f59c503d618e607e", None),
+    ("verify --suite fast --seed 3", "7ac05a1f26438b8cb02e6ecdf2b3b21fd930b7caa3ade55feed074bc6f746ade", None),
+    ("verify --suite fast --seed 4", "d10ac3416ecb5a80ecee9da209136cea020359f1d32e3e429736201b9e68f9a8", None),
+    ("verify --suite fast --seed 5", "cf504a44c0ce968dd3d31493f9f09e1dece77d8c4401a350a09a64ed61e4b5ba", None),
+    ("verify --suite fast --seed 6", "ca60622ea23894c49a8d269b0b5636597af5b850d3e7faf6a9269f6939cb48d5", None),
+    ("verify --suite fast --seed 7", "528d448a1c9380eaa92ca6af9866bcc4f1ddb5e7f1fd7057c8803651ebadec16", None),
+    ("verify --suite fast --seed 8", "c86857c7117cf857c9b8351bfbca9485ecc2978da7fe9227d6c1539a48687917", None),
+    ("verify --suite fast --seed 9", "d266eb94a4de0759bbbfa76ad85c6ffc841091fa8af037e954c600fdb37c2b51", None),
+    ("verify --suite fast --seed 10", "775a4ca00c1b65d5dc94fa672b16ddb56a2fadcd374c84dbf3251dd162c9af1e", None),
+    ("verify --suite fast --seed 11", "0f83488138dc44f1ddd7c84ae0e82818e471142b3c9e95900349527f7917d5d6", None),
+    ("verify --suite fast --seed 12", "a7eef4d966590c182088dfa77e0750e649ab53d6e4187ea64e3f27a99d455476", None),
+    ("verify --suite fast --seed 13", "a147ae0744ef9deca9d7a13555ee17caca94e24b2ee98d6c835f46ce713b99d7", None),
+    ("verify --suite fast --seed 14", "fb24d106419e8a5647688912f3d4ff735fa93dc85945f8119f88c24f184bc7e7", None),
+    ("verify --suite fast --seed 15", "5f53febcfafdd7f5d22757e97c363027fe4c5d8d4bcdf827a0bd6c791705d46d", None),
+    ("verify --suite all --seed 2026", "79adf8b2355658e05fce33e5bf66e66aac9557527c3686df40ba152038c232d8", None),
     (
         "minimize --n 12 --k 2 --restarts 2 --seed 0",
         "4d02d019b7b89d5415149faa8b9cbeb9692b108557187ed0887a9ad3272a0981",

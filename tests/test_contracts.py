@@ -10,7 +10,8 @@ raise one of the site's stated reasons:
 - solve_tangent: NoBracketError within 2^-23 of 1; a gamma never below gamma_inf;
 - TangentSolution: SolverError when the geometry fails;
 - plan_witness: CapacityError when the needed n exceeds n_cap or float range;
-- WitnessSpec: InvalidSpecError when the mid-certificate or a_star < 0 < b_star fails.
+- WitnessSpec: InvalidSpecError when the mid-certificate or a_star < 0 < b_star fails,
+  or when a_star / k underflows to 0.
 
 The integer parameters k and n_cap of plan_witness get the same treatment
 against the integer check's message; an integer k that has no tangent
@@ -228,3 +229,17 @@ def test_witness_spec_a_star(v):
     if spec is not None:
         report = witness_value_and_bound(spec)
         assert spec.a_star == v and report.value <= report.analytic_bound
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(st.sampled_from([2, 3]), st.floats(-1e-300, 0.0))
+@example(2, -5e-324)  # a_star / k underflowed to 0: a bare ZeroDivisionError in the evaluation
+@example(3, -5e-324)
+def test_witness_spec_tiny_a_star(k, v):
+    try:
+        spec = WitnessSpec(k, 2 * k, k, v, 0.5)
+    except InvalidSpecError as err:
+        assert "a_star" in str(err) or "mixed value" in str(err), str(err)
+        return
+    report = witness_value_and_bound(spec)
+    assert spec.a_star / k < 0.0 and report.value <= report.analytic_bound

@@ -1,0 +1,60 @@
+"""The batch sums and the draw identities that the verification groups rely on.
+
+`_ragged_sums` must give each row's `diananda_sum` bit for bit, whatever mix
+of lengths, window lengths and row stacks one call holds; the kernel groups
+draw runs of same-range uniforms in one call and need that to be the stream
+of one call per value; and a report must not depend on how many cases a
+group draws before it evaluates them.
+"""
+
+import numpy as np
+import pytest
+
+from cyclic_bounds import verification
+from cyclic_bounds.sums import diananda_sum
+from cyclic_bounds.verification import _ragged_sums, report_to_json, run_verification
+
+
+def _expected(cases):
+    return [diananda_sum(row, k).hex() for rows, k in cases for row in np.atleast_2d(rows)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ragged_sums_bitwise(seed):
+    rng = np.random.default_rng([seed, 11])
+
+    def positive(shape):
+        return np.exp(rng.uniform(-30.0, 30.0, shape))
+
+    cases = [(positive(1), 1), (positive((3, 1)), 1), (positive(7), 7), (positive((2, 5)), 5)]
+    for _ in range(60):
+        n = int(rng.integers(1, 90))
+        k = int(rng.integers(1, n + 1))
+        shape = n if rng.integers(2) else (int(rng.integers(1, 6)), n)
+        cases.append((positive(shape), k))
+    got = [v.hex() for v in _ragged_sums(cases).tolist()]
+    assert got == _expected(cases)
+
+
+def test_ragged_sums_one_length_many_k():
+    rng = np.random.default_rng(3)
+    x = np.exp(rng.uniform(-3.0, 3.0, 40))
+    zeros = np.insert(x[:12], [3, 6, 9, 12], 0.0)  # zero_insert's layout, summed with k = 4
+    cases = [(x, k) for k in range(1, 41)] + [(np.stack((x, 2.0 * x)), 40), (x[:1], 1), (zeros, 4)]
+    got = [v.hex() for v in _ragged_sums(cases).tolist()]
+    assert got == _expected(cases)
+
+
+@pytest.mark.parametrize("lo, hi, m, j", [(-30.0, 30.0, 7, 8), (-30.0, 30.0, 5, 2), (-20.0, 20.0, 9, 3)])
+def test_uniform_block_is_the_scalar_stream(lo, hi, m, j):
+    for seed in range(20):
+        block = np.random.default_rng(seed).uniform(lo, hi, (m, j))
+        rng = np.random.default_rng(seed)
+        scalars = [rng.uniform(lo, hi) for _ in range(m * j)]
+        assert [v.hex() for v in block.ravel().tolist()] == [v.hex() for v in scalars]
+
+
+def test_report_does_not_depend_on_the_block_size(monkeypatch):
+    want = report_to_json(run_verification("all", 3))
+    monkeypatch.setattr(verification, "_BLOCK", 7)
+    assert report_to_json(run_verification("all", 3)) == want
