@@ -294,7 +294,7 @@ def block_diagnostics(x: "CyclicVector | Sequence[float]", k: int) -> BlockDiagn
         bad = int(np.nonzero(a == 0.0)[0][0])
         raise DomainError(f"entry {bad + 1} is zero; block diagnostics need x > 0")
     block_sums = _block_sums(a, k)
-    ratios = block_sums / np.roll(block_sums, -1)
+    ratios = block_sums / np.concatenate((block_sums[1:], block_sums[:1]))
     partials = _block_sums(_cyclic_terms(a, k, 1, " while evaluating the block diagnostics"), k)
     return BlockDiagnostics(k=k, nu=v.n // k, ratios=ratios, partials=partials)
 
