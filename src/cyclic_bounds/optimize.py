@@ -5,8 +5,10 @@ descent runs in log coordinates y = ln x restricted to the gauge sum(y) = 0.
 All starts of one `minimize` call (the uniform vector, a witness-shaped
 profile when k divides n, and seeded random draws) form one (R, n) array
 that is descended together by a quasi-Newton method with a per-row Armijo
-backtracking search that accepts only a strict decrease.  Rows that reach
-the gradient tolerance or can no longer decrease leave the active set.
+backtracking search that accepts only a strict decrease.  A row stops, and
+counts as converged, when its gradient is zero (as at the uniform start) or
+when no step can decrease its value by one ulp; a row still descending after
+max_iters iterations is not converged.
 
 The inverse-Hessian approximation H has two representations, chosen by n.
 Up to n = _DENSE_N = 16 each row keeps H as a dense n x n matrix, its
@@ -14,25 +16,17 @@ direction is one batched product -H g, and each curved step pair applies a
 self-scaling BFGS update (Oren & Luenberger 1974) whose scaling only grows H
 after the first pair.  Above 16 each row keeps its last _MEMORY step pairs
 and takes the direction from the two-loop recursion of limited-memory BFGS
-(Liu & Nocedal 1989).  The switch sits at 16, which covers the anchors and
-the small dips of Shapiro's problem, (14, 2), (16, 2), (11, 3) and (7, 4):
-over 30 paired seeds the dense descent ended lower than L-BFGS at least as
-often as higher at each of them (at (14, 2) 15 times against 0).  It still
-did up to (24, 3), but ended higher 19 times against 11 at (32, 2), and its
-O(n^2) update costs as much per iteration as the recursion at n = 48 and
-about three times as much at n = 96; rows above 16 keep the L-BFGS bits.
+(Liu & Nocedal 1989).  The switch at 16 covers the anchors and the small
+dips of Shapiro's problem, (14, 2), (16, 2), (11, 3) and (7, 4), which full
+BFGS follows where L-BFGS crawls; above it the dense O(n^2) update stops
+paying for itself, and rows keep the L-BFGS bits.
 
 Only the (R, n) vector work is numpy; the per-row scalars of the loop
 (values, step lengths, rho, h0, the scaling factors and the tests on them)
 are Python floats, because on arrays this small each numpy call costs more
-than its arithmetic.  For the same reason a dense iteration is cheaper where
-it runs: its direction and update take about 15 numpy calls, the two-loop
-recursion over five pairs about 40.  Most of its gain, though, is fewer
-iterations: full BFGS follows the narrow dips at n = 12..16 that L-BFGS
-crawls along for hundreds of objective calls.  The best value found is an
-upper bound on the true infimum, never asserted to equal it.  A brute-force
-grid oracle for n <= 5 provides an independent cross-check on desk-scale
-instances.
+than its arithmetic.  The best value found is an upper bound on the true
+infimum, never asserted to equal it.  A brute-force grid oracle for n <= 5
+provides an independent cross-check on desk-scale instances.
 
 The descent and `gradient` share one slice-based kernel: window sums
 (`sums._window_sums`, row-wise) and the gradient's k-fold accumulation are
@@ -67,14 +61,11 @@ __all__ = [
 _MEMORY = 5  # L-BFGS step pairs kept per row
 _DENSE_N = 16  # largest n whose rows keep a dense inverse Hessian in place of step pairs
 _ARMIJO = 1e-4  # sufficient-decrease constant
-_BACKTRACKS = 40  # step halvings before a row gives up
 _STEP_CAP = 2.0  # largest change of any log coordinate in one step
 # Largest spread max(y) - min(y) of a point the descent evaluates.  Under the
 # gauge sum(y) = 0 every entry then lies in [e^-300, e^300] and x_i / t_i^2 in
 # the gradient stays below e^600, so no value, square or quotient overflows.
 _LOG_SPREAD_CAP = 300.0
-# Gradient inf-norm at which a start counts as converged and stops.
-_GRAD_TOL = 1e-10
 
 
 def _window_kernel(x: np.ndarray, k: int):
@@ -137,7 +128,8 @@ class MinimizationResult:
     value is an upper bound on the normalized infimum; certified_floor is the
     unconditional k (2^{1/k} - 1) analytic floor.  restarts_used counts the
     starts actually descended (uniform, witness-shaped and random);
-    converged_starts counts those that reached _GRAD_TOL; converged and
+    converged_starts counts those that stopped before max_iters, at a zero
+    gradient or where no step lowers the value by one ulp; converged and
     gradient_norm describe the winning start.
     """
 
@@ -220,11 +212,11 @@ def _bfgs_update(
     w = rho (1 + rho dg.H.dg) s / 2 - rho H dg, both for the scaled H.  At a
     row's first such pair (fresh, then cleared) tau H is (s.dg / dg.dg) I, as
     L-BFGS sets h0.  At later pairs tau is at least 1, so the scaling only
-    grows H: after one long step a shrink by tau = 3e-3 (at n = 3, k = 2) left
-    a row ten iterations of tiny steps, while too long a step is what the
-    backtracking search already handles.  Every other row gets tau = 1 and
-    w = 0, which leaves its H bit for bit.  w s^T + s w^T is added as one
-    symmetric matrix, so H stays exactly symmetric.
+    grows H: a shrink after one long step leaves a row many tiny steps, while
+    too long a step is what the backtracking search already handles.  Every
+    other row gets tau = 1 and w = 0, which leaves its H bit for bit.
+    w s^T + s w^T is added as one symmetric matrix, so H stays exactly
+    symmetric.
     """
     hy = np.vecdot(H, dg[:, None, :])
     yhy = np.vecdot(dg, hy).tolist()
@@ -248,7 +240,7 @@ def _bfgs_update(
     H += u
 
 
-def _descend(y0: np.ndarray, k: int, max_iters: int, grad_tol: float) -> _Descent:
+def _descend(y0: np.ndarray, k: int, max_iters: int) -> _Descent:
     """Batched quasi-Newton descent in log coordinates from the rows of y0, shape (R, n).
 
     Rows share nothing but the loop: each keeps its own inverse-Hessian
@@ -260,12 +252,21 @@ def _descend(y0: np.ndarray, k: int, max_iters: int, grad_tol: float) -> _Descen
     two-loop recursion (L-BFGS).  The module docstring says why the switch
     sits at 16.
 
-    A row stops when its gradient inf-norm reaches grad_tol (`minimize`
-    passes _GRAD_TOL; converged), when no step of its backtracking search
-    decreases the value strictly, or after max_iters iterations.  Starts must
-    be finite and spread over at most _LOG_SPREAD_CAP, as those of `minimize`
-    are; each step moves every log coordinate by at most _STEP_CAP and keeps
-    the spread of y within _LOG_SPREAD_CAP.
+    A row leaves the active set, and counts as converged, in one of two cases:
+    its gradient is zero, or its backtracking search finds no strict decrease
+    whose predicted size -t g.p is at least ulp(value).  A zero gradient is
+    an inf-norm of exactly 0, which the step length t = .../max|p| needs, or
+    a constant start: the uniform point is stationary by cyclic symmetry,
+    though rounding can leave its float gradient a few ulps from 0.  A row
+    still active after max_iters iterations is not converged.
+
+    The search ends for every row without a cap on its halvings: each halves
+    t, so -t g.p halves too, and ulp(value) > 0 because every value exceeds
+    ln 2.  A first trial that predicts a decrease D is followed by at most
+    log2(D / ulp(value)) + 1 halvings.  Starts must be finite and spread over
+    at most _LOG_SPREAD_CAP, as those of `minimize` are; each step moves every
+    log coordinate by at most _STEP_CAP and keeps the spread of y within
+    _LOG_SPREAD_CAP.
 
     The (R, n) vector work (directions, trial points, step pairs, objective)
     is numpy on the active rows.  The per-row scalars (values, g.p, step
@@ -285,12 +286,12 @@ def _descend(y0: np.ndarray, k: int, max_iters: int, grad_tol: float) -> _Descen
     y -= y.mean(axis=1, keepdims=True)
     val, g = _objective(y, k)
     iters = np.zeros(y.shape[0], dtype=int)
-    gmax = _inf_norms(g)
-    live = [r for r, gm in enumerate(gmax) if gm > grad_tol]  # row of y behind each active row
+    gmax, spread = _inf_norms(g), _spreads(y)
+    # row of y behind each active row; a constant row is the uniform point
+    live = [r for r, (gm, sp) in enumerate(zip(gmax, spread)) if gm > 0.0 and sp > 0.0]
 
     ya, ga = y[live], g[live]
-    fa = [val[r] for r in live]
-    spread = _spreads(ya)
+    fa, spread = [val[r] for r in live], [spread[r] for r in live]
     # the first step moves the largest coordinate by 1
     h0 = [1.0 / gmax[r] for r in live]
     dense = y.shape[1] <= _DENSE_N
@@ -335,12 +336,10 @@ def _descend(y0: np.ndarray, k: int, max_iters: int, grad_tol: float) -> _Descen
         f_new, g_new = _objective(y_new, k)
         ok = list(map(_armijo, f_new, fa, t, gp))
         if not all(ok):
-            todo = [r for r, passed in enumerate(ok) if not passed]
-            for _ in range(_BACKTRACKS):
-                # give up where the predicted decrease is below the value's resolution
-                todo = [r for r in todo if -t[r] * gp[r] >= math.ulp(fa[r])]
-                if not todo:
-                    break
+            todo = range(len(ok))
+            # halve t until the value decreases, giving up where the predicted
+            # decrease is below the value's resolution (see the docstring)
+            while todo := [r for r in todo if not ok[r] and -t[r] * gp[r] >= math.ulp(fa[r])]:
                 for r in todo:
                     t[r] *= 0.5
                 y_try = ya[todo] + _column([t[r] for r in todo]) * p[todo]
@@ -352,7 +351,6 @@ def _descend(y0: np.ndarray, k: int, max_iters: int, grad_tol: float) -> _Descen
                     for r, f, h in zip(todo, f_try, hit):
                         if h:
                             f_new[r], ok[r] = f, True
-                    todo = [r for r, h in zip(todo, hit) if not h]
             stuck = [r for r, passed in enumerate(ok) if not passed]
             if stuck:
                 y_new[stuck], g_new[stuck] = ya[stuck], ga[stuck]
@@ -377,7 +375,7 @@ def _descend(y0: np.ndarray, k: int, max_iters: int, grad_tol: float) -> _Descen
         spread = [sp + 2.0 * tt * pm + 1e-9 for sp, tt, pm in zip(spread, t, pmax)]
         ya, fa, ga = y_new, f_new, g_new
         gmax = _inf_norms(ga)
-        stay = [passed and gm > grad_tol for passed, gm in zip(ok, gmax)]
+        stay = [passed and gm > 0.0 for passed, gm in zip(ok, gmax)]
         if not all(stay):
             keep = [i for i, st in enumerate(stay) if st]
             done = [i for i, st in enumerate(stay) if not st]
@@ -394,10 +392,11 @@ def _descend(y0: np.ndarray, k: int, max_iters: int, grad_tol: float) -> _Descen
                 mem = deque((tuple(v[keep] for v in m) for m in mem), maxlen=_MEMORY)
             live = [live[i] for i in keep]
     y[live], g[live] = ya, ga
+    converged = np.ones(y.shape[0], dtype=bool)
+    converged[live] = False
     for i, r in enumerate(live):
         val[r], iters[r] = fa[i], max_iters
-    gnorm = np.abs(g).max(axis=1)
-    return _Descent(np.array(val), y, gnorm, gnorm <= grad_tol, iters)
+    return _Descent(np.array(val), y, np.abs(g).max(axis=1), converged, iters)
 
 
 def _witness_shaped_log_start(n: int, k: int) -> Optional[np.ndarray]:
@@ -423,8 +422,9 @@ def minimize(n: int, k: int, config: MinimizeConfig | None = None) -> Minimizati
     Starts: the uniform vector, a witness-shaped profile when k | n, and
     config.restarts random log-uniform draws seeded by config.seed, all
     descended as one batch.  Ties below 1e-12 resolve to the earliest start
-    for determinism.  A start that exhausts max_iters reports
-    converged=False but still competes on value.
+    for determinism.  A start converges when it stops before max_iters, at a
+    zero gradient or where no step lowers its value by one ulp; a start that
+    exhausts max_iters reports converged=False but still competes on value.
     """
     k = _integer("k", k, 1, error=DomainError)
     n = _integer("n", n, k, error=DomainError)
@@ -438,7 +438,7 @@ def minimize(n: int, k: int, config: MinimizeConfig | None = None) -> Minimizati
     for _ in range(cfg.restarts):
         starts.append(rng.uniform(-3.0, 3.0, n))
 
-    d = _descend(np.stack(starts), k, cfg.max_iters, _GRAD_TOL)
+    d = _descend(np.stack(starts), k, cfg.max_iters)
     best = 0
     for r in range(1, len(starts)):
         if d.value[r] < d.value[best] - 1e-12:

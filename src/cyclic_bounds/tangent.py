@@ -33,13 +33,10 @@ gamma_k decreases to gamma_inf at the rate gamma_k = gamma_inf + c1/k + O(1/k^2)
 with c1 = mu (-a) g(a) / 2 = 0.2260... at the limit's solution (the envelope
 theorem applied to gamma = mu g(a) + (1 - mu) e^{-b}, with g_k = g_inf p(x/k) and
 p'(0) = -1/2).  A float solve lands up to a few ulps either side of its true
-gamma: over 8000 log-uniform k in [1e12, 2^53], gamma_k - gamma_inf - c1/k
-ranged from -2.4 to +2.0 ulps of gamma, and over 4000 k in [1e20, 1e308] the
-solve landed 0 to 2 ulps below gamma_inf (1e300 was one of them).  So a solve
-is kept only while c1/k exceeds that scatter: below k = 2^49, c1/k is over 3.6
-ulps.  From 2^49 on the geometry is the limit's, under the index k, where
-gamma_k = gamma_inf.  Below 2^49, gamma_k >= gamma_inf rests on the measured
-scatter, which is not bounded.
+gamma.  So a solve is kept only while c1/k exceeds that scatter: below
+k = 2^49, c1/k is over 3.6 ulps.  From 2^49 on the geometry is the limit's,
+under the index k, where gamma_k = gamma_inf.  Below 2^49, gamma_k >= gamma_inf
+rests on a measured scatter, not a proof.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ digest captured before the record writers were merged into one serializer.
 Cases that `perfbench/golden.json` also holds are compared with its bytes as
 well (that file is only read here), and so is the `verify --suite all` report
 of every one of its 16 seeds.  A deliberate change of the output
-contract, or a replaced optimizer for `minimize`, updates these digests.
+contract, a replaced optimizer for `minimize` or a change to what its fields
+mean, updates these digests.
 """
 
 import hashlib
@@ -71,9 +72,16 @@ CASES = [
     ("verify --suite fast --seed 14", "fb24d106419e8a5647688912f3d4ff735fa93dc85945f8119f88c24f184bc7e7", None),
     ("verify --suite fast --seed 15", "5f53febcfafdd7f5d22757e97c363027fe4c5d8d4bcdf827a0bd6c791705d46d", None),
     ("verify --suite all --seed 2026", "79adf8b2355658e05fce33e5bf66e66aac9557527c3686df40ba152038c232d8", None),
+    # every start stops before max_iters: converged_starts is 4
     (
         "minimize --n 12 --k 2 --restarts 2 --seed 0",
-        "4d02d019b7b89d5415149faa8b9cbeb9692b108557187ed0887a9ad3272a0981",
+        "f7cd1f8ebb2d983fffee84c1457c5ebadcc1e15e8df4d9c9be0b2d6f5c5e6e1e",
+        None,
+    ),
+    # two starts, the winner among them, run to max_iters: converged false, converged_starts 2
+    (
+        "minimize --n 24 --k 3 --restarts 2 --seed 3",
+        "8f8bba6c3651c43edcabd541e57f4535216e87c4ac1f1e2938512996c3e8dc99",
         None,
     ),
 ]

@@ -13,6 +13,11 @@ raise one of the site's stated reasons:
 - WitnessSpec: InvalidSpecError when the mid-certificate or a_star < 0 < b_star fails,
   or when a_star / k underflows to 0.
 
+minimize gets a strategy over its integer arguments (n <= 24, every k <= n, a
+seed, up to two random starts and up to 80 iterations): its result must be
+finite, lie between the analytic floor and the uniform point's 1, and count
+its converged starts within the starts it descended.
+
 The integer parameters k and n_cap of plan_witness get the same treatment
 against the integer check's message; an integer k that has no tangent
 solution in float range (10**400) is planned with another k's solution and
@@ -27,9 +32,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclic_bounds import (
-    CapacityError, DegenerateFamilyError, InvalidSpecError, NoBracketError, SolverError,
-    TangentSolution, WitnessSpec, eval_g, eval_g_derivative, plan_witness, solve_tangent,
-    witness_value_and_bound,
+    CapacityError, DegenerateFamilyError, InvalidSpecError, MinimizeConfig, NoBracketError,
+    SolverError, TangentSolution, WitnessSpec, eval_g, eval_g_derivative, minimize,
+    plan_witness, solve_tangent, witness_value_and_bound,
 )
 from cyclic_bounds.witness import DEFAULT_N_CAP
 
@@ -243,3 +248,22 @@ def test_witness_spec_tiny_a_star(k, v):
         return
     report = witness_value_and_bound(spec)
     assert spec.a_star / k < 0.0 and report.value <= report.analytic_bound
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    st.integers(1, 24).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 2),
+    st.integers(0, 80),
+)
+@example((1, 1), 0, 0, 0)
+@example((7, 7), 0, 2, 80)  # every window reads the whole vector
+@example((24, 3), 3, 2, 80)
+def test_minimize(nk, seed, restarts, max_iters):
+    n, k = nk
+    res = minimize(n, k, MinimizeConfig(restarts=restarts, seed=seed, max_iters=max_iters))
+    assert math.isfinite(res.value) and math.isfinite(res.gradient_norm)
+    assert res.certified_floor <= res.value <= 1.0 + 1e-12
+    assert 0 <= res.converged_starts <= res.restarts_used
+    assert res.x_best.n == n
