@@ -174,16 +174,31 @@ def _softplus(t: float) -> float:
     return max(t, 0.0) + math.log1p(math.exp(-abs(t)))
 
 
+# The least int that float() refuses, since it would round to 2^1024.
+_K_FLOAT_END = 2**1024 - 2**970
+
+
+def _over_huge_k(v: float, ki: int) -> float:
+    """v / ki for an int ki >= _K_FLOAT_END, scaled by 2^s so that no int is converted whole."""
+    s = ki.bit_length() - 64
+    return math.ldexp(v / (ki >> s), -s)
+
+
+def _block_bound(ki: int, sp: float) -> float:
+    """k (e^{sp/k} - 1) for an int k >= 1 and sp >= 0, the softplus of t."""
+    if ki < _K_FLOAT_END:
+        arg = sp / ki
+        return math.inf if arg > _EXP_MAX else ki * math.expm1(arg)
+    a = _over_huge_k(sp, ki)  # at most 1 for finite sp; sp (e^a - 1) / a is the value
+    return sp * (math.expm1(a) / a) if 0.0 < a < math.inf else sp
+
+
 def eval_f(k, t: float) -> float:
     """Per-block bound f_k(t) = k ((1 + e^t)^{1/k} - 1); convex, increasing.
 
     f_k(0) = k (2^{1/k} - 1) is the floor of the normalized cyclic sum.
     """
-    ki = _integer("k", k, 1)
-    arg = _softplus(float(t)) / ki
-    if arg > _EXP_MAX:
-        return math.inf
-    return ki * math.expm1(arg)
+    return _block_bound(_integer("k", k, 1), _softplus(float(t)))
 
 
 def eval_f_derivative(k, t: float) -> float:
@@ -191,17 +206,15 @@ def eval_f_derivative(k, t: float) -> float:
     ki = _integer("k", k, 1)
     t = float(t)
     sp = _softplus(t)
+    if ki >= _K_FLOAT_END:  # e^{sp/k} / (1 + e^{-t}), without the rounding of t - sp
+        return math.exp(_over_huge_k(sp, ki) + min(t, 0.0)) / (1.0 + math.exp(-abs(t)))
     arg = sp / ki + t - sp
-    if t == math.inf or arg > _EXP_MAX:
-        return math.inf
-    return math.exp(arg)
+    return math.inf if t == math.inf or arg > _EXP_MAX else math.exp(arg)
 
 
 def lower_bound_theorem2(k) -> float:
-    """Unconditional floor k (2^{1/k} - 1) of the normalized cyclic sum.
+    """Unconditional floor k (2^{1/k} - 1) = f_k(0) of the normalized cyclic sum.
 
     Strictly above ln 2 for every k >= 1 and decreasing toward it.
     """
-    ki = _integer("k", k, 1)
-    return ki * math.expm1(math.log(2.0) / ki)
-
+    return _block_bound(_integer("k", k, 1), math.log(2.0))

@@ -7,13 +7,12 @@ kernel-family and transform invariants; "all" adds the gradient/Euler checks
 and the floor sweep over random vectors.  Identical seeds give
 byte-identical JSON.
 
-The groups that sum cyclic vectors draw a block of up to _BLOCK cases
-whole, evaluate it, then draw the next (`_drawn`); the reference sums of a
-block are computed together by `_ragged_sums`, bit for bit those of
-`diananda_sum`.  No evaluation draws, so the stream, and with it every
-report, depends only on the order of the draws, never on the block size.
-Runs of same-range uniforms with no other draw between them are taken in
-one call, which yields the same stream as one call per value.  The
+The groups that sum cyclic vectors draw all their cases before they
+evaluate any; the reference sums of a group are computed together by
+`_ragged_sums`, bit for bit those of `diananda_sum`.  No evaluation draws,
+so the stream, and with it every report, depends only on the order of the
+draws.  Runs of same-range uniforms with no other draw between them are
+taken in one call, which yields the same stream as one call per value.  The
 functions a group exists to check (the scalar kernels, `block_diagnostics`,
 `replicate`, `zero_insert`, `gradient`) are called once per case, and the
 kernels are never evaluated through numpy, whose SIMD exp and expm1 can
@@ -107,21 +106,6 @@ class _Tally:
         return GroupResult(name, self.cases, self.failures, self.worst)
 
 
-# Cases drawn before a block is evaluated; it bounds the arrays a group holds
-# at once (a block of 256 cases raised the peak RSS of a run by about 1 MB).
-_BLOCK = 64
-
-
-def _drawn(draw, count: int):
-    """The results of count calls of draw(), as lists of at most _BLOCK cases.
-
-    Each list is drawn whole before it is yielded, so the evaluation of a
-    list, which draws nothing, leaves the stream as if no evaluation ran.
-    """
-    for first in range(0, count, _BLOCK):
-        yield [draw() for _ in range(min(_BLOCK, count - first))]
-
-
 def _ragged_sums(cases) -> np.ndarray:
     """diananda_sum of every row of every (rows, k) case, bit for bit, in case and row order.
 
@@ -139,10 +123,7 @@ def _ragged_sums(cases) -> np.ndarray:
     whose quotients are never gathered, stay positive.  It skips the
     `CyclicVector` copy and checks, which cost more than the sum at small n.
     """
-    firsts, total = [], 0
-    for rows, _ in cases:
-        firsts.append(total)
-        total += 1 if rows.ndim == 1 else rows.shape[0]
+    firsts = np.cumsum([0] + [rows.size // rows.shape[-1] for rows, _ in cases]).tolist()
     order = sorted(range(len(cases)), key=lambda i: -cases[i][1])
     pieces, ends, by_length = [], [], {}
     at = 0
@@ -172,7 +153,7 @@ def _ragged_sums(cases) -> np.ndarray:
         end = ends[lead - 1]
         win[:end] += ext[1 + d : 1 + d + end]
     np.divide(ext[:at], win, out=win)
-    out = np.empty(total)
+    out = np.empty(firsts[-1])
     for n, (starts, outs) in by_length.items():
         out[outs] = win[np.add.outer(starts, np.arange(n))].sum(axis=-1)
     return out
@@ -310,16 +291,16 @@ def _block_diagnostics_group(rng, scale: int) -> GroupResult:
         nu = int(rng.integers(1, 17))
         return np.exp(rng.uniform(-3.0, 3.0, k * nu)), k
 
-    for cases in _drawn(draw, 2 * scale):
-        for (x, k), ref in zip(cases, _ragged_sums(cases).tolist()):
-            diag = block_diagnostics(x, k)
-            err = abs(float(diag.ratios.prod()) - 1.0)
-            tally.check(err <= 1e-12, err)
-            for r, s in zip(diag.ratios.tolist(), diag.partials.tolist()):
-                floor = eval_f(k, math.log(r))
-                tally.check(s >= floor - 1e-12, floor - s)
-            rel = abs(float(diag.partials.sum()) - ref) / ref
-            tally.check(rel <= 1e-12, rel)
+    cases = [draw() for _ in range(2 * scale)]
+    for (x, k), ref in zip(cases, _ragged_sums(cases).tolist()):
+        diag = block_diagnostics(x, k)
+        err = abs(float(diag.ratios.prod()) - 1.0)
+        tally.check(err <= 1e-12, err)
+        for r, s in zip(diag.ratios.tolist(), diag.partials.tolist()):
+            floor = eval_f(k, math.log(r))
+            tally.check(s >= floor - 1e-12, floor - s)
+        rel = abs(float(diag.partials.sum()) - ref) / ref
+        tally.check(rel <= 1e-12, rel)
     return tally.result("block_diagnostics")
 
 
@@ -327,7 +308,7 @@ def _transform_identities(rng, scale: int) -> GroupResult:
     """Replication and zero-insertion preserve the (normalized) cyclic sum.
 
     The reference sums of x, its replication and its zero-insertion are the
-    rows of one batch per block of cases.
+    rows of one batch.
     """
     tally = _Tally(max, 0.0)
 
@@ -338,22 +319,21 @@ def _transform_identities(rng, scale: int) -> GroupResult:
         rep = replicate(x, int(rng.integers(2, 5)))
         return (x.entries, k), (rep.entries, k), (zero_insert(x, k).entries, k + 1)
 
-    for cases in _drawn(draw, 2 * scale):
-        sums = iter(_ragged_sums([row for case in cases for row in case]).tolist())
-        for ((x, _), (rep, _), _), base, rep_sum, ins_sum in zip(cases, sums, sums, sums):
-            n = x.size
-            rel = abs(rep_sum / rep.size - base / n) / (base / n)
-            tally.check(rel <= 1e-12, rel)
-            rel = abs(ins_sum - base) / base
-            tally.check(rel <= 1e-12, rel)
+    cases = [draw() for _ in range(2 * scale)]
+    sums = iter(_ragged_sums([row for case in cases for row in case]).tolist())
+    for ((x, _), (rep, _), _), base, rep_sum, ins_sum in zip(cases, sums, sums, sums):
+        n = x.size
+        rel = abs(rep_sum / rep.size - base / n) / (base / n)
+        tally.check(rel <= 1e-12, rel)
+        rel = abs(ins_sum - base) / base
+        tally.check(rel <= 1e-12, rel)
     return tally.result("transform_identities")
 
 
 def _invariance(rng, scale: int) -> GroupResult:
     """Degree-zero scaling and rotation invariance of the cyclic sum.
 
-    x, c * x and a rotation of x are summed as rows of one batch per block
-    of cases.
+    x, c * x and a rotation of x are summed as rows of one batch.
     """
     tally = _Tally(max, 0.0)
 
@@ -365,13 +345,13 @@ def _invariance(rng, scale: int) -> GroupResult:
         shift = int(rng.integers(0, n))
         return (x, k), (c * x, k), (np.concatenate((x[n - shift :], x[: n - shift])), k)
 
-    for cases in _drawn(draw, 2 * scale):
-        sums = iter(_ragged_sums([row for case in cases for row in case]).tolist())
-        for base, scaled, rolled in zip(sums, sums, sums):
-            rel = abs(scaled - base) / base
-            tally.check(rel <= 1e-10, rel)
-            rel = abs(rolled - base) / base
-            tally.check(rel <= 1e-12, rel)
+    cases = [draw() for _ in range(2 * scale)]
+    sums = iter(_ragged_sums([row for case in cases for row in case]).tolist())
+    for base, scaled, rolled in zip(sums, sums, sums):
+        rel = abs(scaled - base) / base
+        tally.check(rel <= 1e-10, rel)
+        rel = abs(rolled - base) / base
+        tally.check(rel <= 1e-12, rel)
     return tally.result("invariance")
 
 
@@ -380,8 +360,8 @@ def _central_differences(cases) -> list:
 
     The 2n perturbed vectors x +- h_m e_m of the cases of one length are the
     rows of one `_ragged_sums` batch, so every difference is bit for bit the
-    one computed from 2n `diananda_sum` calls.  One batch per length, not per
-    block: the rows of a whole block raised the peak RSS by about 1 MB.
+    one computed from 2n `diananda_sum` calls.  One batch per length bounds
+    the rows held at once.
     """
     by_length: dict[int, list] = {}
     for i, (x, _) in enumerate(cases):
@@ -411,14 +391,14 @@ def _gradient_euler(rng, scale: int) -> GroupResult:
         k = int(rng.integers(1, n + 1))
         return np.exp(rng.uniform(-2.0, 2.0, n)), k
 
-    for cases in _drawn(draw, scale):
-        for (x, k), fd in zip(cases, _central_differences(cases)):
-            g = gradient(x, k)
-            scale_g = max(1.0, float(np.abs(g).max()))
-            for err in np.abs(fd - g) / scale_g:
-                tally.check(err <= 1e-6, err)
-            euler = abs(float(np.dot(x, g))) / max(1.0, float(np.abs(x * g).sum()))
-            tally.check(euler <= 1e-10, euler)
+    cases = [draw() for _ in range(scale)]
+    for (x, k), fd in zip(cases, _central_differences(cases)):
+        g = gradient(x, k)
+        scale_g = max(1.0, float(np.abs(g).max()))
+        for err in np.abs(fd - g) / scale_g:
+            tally.check(err <= 1e-6, err)
+        euler = abs(float(np.dot(x, g))) / max(1.0, float(np.abs(x * g).sum()))
+        tally.check(euler <= 1e-10, euler)
     return tally.result("gradient_euler")
 
 
@@ -431,10 +411,10 @@ def _floor_sweep(rng, scale: int) -> GroupResult:
         k = int(rng.integers(1, n + 1))
         return np.exp(rng.uniform(-4.0, 4.0, n)), k
 
-    for cases in _drawn(draw, 6 * scale):
-        for (x, k), s in zip(cases, _ragged_sums(cases).tolist()):
-            margin = (k / x.size) * s - lower_bound_theorem2(k)
-            tally.check(margin >= -1e-9, margin)
+    cases = [draw() for _ in range(6 * scale)]
+    for (x, k), s in zip(cases, _ragged_sums(cases).tolist()):
+        margin = (k / x.size) * s - lower_bound_theorem2(k)
+        tally.check(margin >= -1e-9, margin)
     return tally.result("floor_sweep")
 
 

@@ -21,20 +21,24 @@ its converged starts within the starts it descended.
 The integer parameters k and n_cap of plan_witness get the same treatment
 against the integer check's message; an integer k that has no tangent
 solution in float range (10**400) is planned with another k's solution and
-must be refused as a mismatch.
+must be refused as a mismatch.  So does the k of eval_f, eval_f_derivative
+and lower_bound_theorem2, whose values must match a 60-digit mpmath
+evaluation to a few ulps for every integer k, also past float range.
 """
 
 import math
 import sys
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclic_bounds import (
     CapacityError, DegenerateFamilyError, InvalidSpecError, MinimizeConfig, NoBracketError,
-    SolverError, TangentSolution, WitnessSpec, eval_g, eval_g_derivative, minimize,
-    plan_witness, solve_tangent, witness_value_and_bound,
+    SolverError, TangentSolution, WitnessSpec, eval_f, eval_f_derivative, eval_g,
+    eval_g_derivative, lower_bound_theorem2, minimize, plan_witness, solve_tangent,
+    witness_value_and_bound,
 )
 from cyclic_bounds.witness import DEFAULT_N_CAP
 
@@ -184,7 +188,8 @@ def test_witness_spec_eps(v):
         assert spec.eps == v and report.value <= report.analytic_bound
 
 
-INTEGER_EDGES = (0, 1, 2, 2.5, 2**53, 10**400)
+# 2**1024 - 2**970 is the least int that float() refuses
+INTEGER_EDGES = (0, 1, 2, 2.5, 2**53, 2**1024 - 2**970 - 1, 2**1024 - 2**970, 10**400)
 
 
 def integer_contract(*edges):
@@ -220,6 +225,40 @@ def test_plan_witness_n_cap(v):
         assert err.required_n == SPEC3["n"] > integral(v)
         return
     assert spec is None or (spec.n == SPEC3["n"] and witness_value_and_bound(spec).certified)
+
+
+def block_bound(k: int, t: float) -> tuple[float, float]:
+    """f_k(t) and f_k'(t) at 60 digits, rounded to floats."""
+    with mpmath.workdps(60):
+        kk, tt = mpmath.mpf(k), mpmath.mpf(t)
+        sp = mpmath.log1p(mpmath.exp(tt))
+        f = kk * mpmath.expm1(sp / kk)
+        return float(f), float(mpmath.exp(sp / kk) / (1 + mpmath.exp(-tt)))
+
+
+def near(r: float, ref: float) -> bool:
+    """Whether r is within 8 ulps of ref; an index near float max costs f_k up to 8.5 ulps."""
+    return abs(r - ref) <= 8 * math.ulp(ref)
+
+
+@integer_contract(st.integers(1, 10**6), st.integers(10**300, 10**400))
+def test_eval_f_k(v):
+    for t in (-1.0, 0.0, 1.0):
+        r = call_integer(lambda k: eval_f(k, t), v, ValueError, "k", 1)
+        assert r is None or near(r, block_bound(integral(v), t)[0])
+
+
+@integer_contract(st.integers(1, 10**6), st.integers(10**300, 10**400))
+def test_eval_f_derivative_k(v):
+    for t in (-1.0, 0.0, 1.0):
+        r = call_integer(lambda k: eval_f_derivative(k, t), v, ValueError, "k", 1)
+        assert r is None or near(r, block_bound(integral(v), t)[1])
+
+
+@integer_contract(st.integers(1, 10**6), st.integers(10**300, 10**400))
+def test_lower_bound_theorem2_k(v):
+    r = call_integer(lower_bound_theorem2, v, ValueError, "k", 1)
+    assert r is None or (LN2 <= r <= 1.0 and near(r, block_bound(integral(v), 0.0)[0]))
 
 
 @contract(st.floats(-1.0, 0.0), st.floats(-0.34, -0.32))

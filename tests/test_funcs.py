@@ -220,6 +220,33 @@ class TestFloors:
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
+class TestIndexPastFloatRange:
+    """Integer k that float() refuses; the values still match the defining formulas."""
+
+    KS = [2**1024 - 2**970, 10**400, 10**5000]
+    TS = [-745.0, -700.0, -30.0, -1.0, 0.0, 1e-17, 1.0, 30.0, 700.0, 1e5, 1e300, 1.7e308]
+
+    @pytest.mark.parametrize("k", KS, ids=["2^1024", "1e400", "1e5000"])
+    def test_block_bound_and_derivative_within_an_ulp(self, k):
+        with mp.workdps(60):
+            kk = mpf(k)
+            for t in self.TS:
+                sp = mp.log1p(mp.exp(mpf(t)))
+                f = kk * mp.expm1(sp / kk)
+                df = mp.exp(sp / kk) / (1 + mp.exp(-mpf(t)))
+                for got, want in ((eval_f(k, t), f), (eval_f_derivative(k, t), df)):
+                    if want > mpf(np.finfo(float).max):
+                        assert got == math.inf
+                    else:
+                        assert abs(mpf(got) - want) <= math.ulp(float(want)), (k, t)
+
+    @pytest.mark.parametrize("k", KS, ids=["2^1024", "1e400", "1e5000"])
+    def test_infinite_t_and_the_floor(self, k):
+        assert eval_f(k, math.inf) == eval_f_derivative(k, math.inf) == math.inf
+        assert eval_f(k, -math.inf) == eval_f_derivative(k, -math.inf) == 0.0
+        assert lower_bound_theorem2(k) == math.log(2.0)
+
+
 class TestLogSpaceBranches:
     """Arguments beyond +-700, where the kernels switch to log-space arithmetic."""
 

@@ -3,16 +3,17 @@
 `_ragged_sums` must give each row's `diananda_sum` bit for bit, whatever mix
 of lengths, window lengths and row stacks one call holds; the kernel groups
 draw runs of same-range uniforms in one call and need that to be the stream
-of one call per value; and a report must not depend on how many cases a
-group draws before it evaluates them.
+of one call per value; and a group that draws all its cases before it sums
+them must still hold only a few MB at once.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cyclic_bounds import verification
 from cyclic_bounds.sums import diananda_sum
-from cyclic_bounds.verification import _ragged_sums, report_to_json, run_verification
+from cyclic_bounds.verification import _ragged_sums, run_verification
 
 
 def _expected(cases):
@@ -54,7 +55,15 @@ def test_uniform_block_is_the_scalar_stream(lo, hi, m, j):
         assert [v.hex() for v in block.ravel().tolist()] == [v.hex() for v in scalars]
 
 
-def test_report_does_not_depend_on_the_block_size(monkeypatch):
-    want = report_to_json(run_verification("all", 3))
-    monkeypatch.setattr(verification, "_BLOCK", 7)
-    assert report_to_json(run_verification("all", 3)) == want
+def test_peak_memory_of_the_full_suite():
+    # each group's cases and its one batch of sums: about 2.2 MB traced
+    run_verification("all", 0)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        run_verification("all", 0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3e6
