@@ -185,10 +185,14 @@ def _over_huge_k(v: float, ki: int) -> float:
 
 
 def _block_bound(ki: int, sp: float) -> float:
-    """k (e^{sp/k} - 1) for an int k >= 1 and sp >= 0, the softplus of t."""
+    """k (e^{sp/k} - 1) for an int k >= 1 and sp >= 0, the softplus of t.
+
+    Never below sp, as k (e^{x/k} - 1) >= x: the float path clamps the one-ulp
+    undershoot that rounding sp / k gives at some large k.
+    """
     if ki < _K_FLOAT_END:
         arg = sp / ki
-        return math.inf if arg > _EXP_MAX else ki * math.expm1(arg)
+        return math.inf if arg > _EXP_MAX else max(sp, ki * math.expm1(arg))
     a = _over_huge_k(sp, ki)  # at most 1 for finite sp; sp (e^a - 1) / a is the value
     return sp * (math.expm1(a) / a) if 0.0 < a < math.inf else sp
 
@@ -208,13 +212,13 @@ def eval_f_derivative(k, t: float) -> float:
     sp = _softplus(t)
     if ki >= _K_FLOAT_END:  # e^{sp/k} / (1 + e^{-t}), without the rounding of t - sp
         return math.exp(_over_huge_k(sp, ki) + min(t, 0.0)) / (1.0 + math.exp(-abs(t)))
-    arg = sp / ki + t - sp
+    arg = sp / ki + (t - sp)  # grouped so that a huge t does not absorb sp / ki
     return math.inf if t == math.inf or arg > _EXP_MAX else math.exp(arg)
 
 
 def lower_bound_theorem2(k) -> float:
     """Unconditional floor k (2^{1/k} - 1) = f_k(0) of the normalized cyclic sum.
 
-    Strictly above ln 2 for every k >= 1 and decreasing toward it.
+    Never below math.log(2) for any k >= 1, and decreasing toward it.
     """
     return _block_bound(_integer("k", k, 1), math.log(2.0))

@@ -28,11 +28,11 @@ than its arithmetic.  The best value found is an upper bound on the true
 infimum, never asserted to equal it.  A brute-force grid oracle for n <= 5
 provides an independent cross-check on desk-scale instances.
 
-The descent and `gradient` share one slice-based kernel: window sums
-(`sums._window_sums`, row-wise) and the gradient's k-fold accumulation are
-slices of an extended copy of each row, never `np.roll`.  The grid oracle
-broadcasts each term over the grid axes it depends on and adds its window in
-the same order, so its sums are those of `diananda_sum` too.
+The descent and `gradient` share one slice-based kernel: the window sums and
+the gradient's k-fold accumulation are both `sums._slice_sums` over an
+extended copy of each row, never `np.roll`.  The grid oracle broadcasts each
+term over the grid axes it depends on and adds its window in the same order,
+so its sums are those of `diananda_sum` too.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import DomainError, WindowError, _integer
 from .funcs import lower_bound_theorem2
-from .sums import CyclicVector, as_cyclic_vector, _in_float64_range, _window_sums
+from .sums import CyclicVector, as_cyclic_vector, _in_float64_range, _slice_sums
 from .tangent import solve_tangent
 from .witness import _log_profile, _right_abscissa
 
@@ -79,14 +79,9 @@ def _window_kernel(x: np.ndarray, k: int):
     so each row is computed exactly as it would be alone.
     """
     n = x.shape[-1]
-    denom = _window_sums(x, k, 1)
+    denom = _slice_sums(np.concatenate((x, x[..., :k]), axis=-1), range(1, k + 1), n)
     w = x / (denom * denom)
-    wext = np.concatenate((w[..., n - k :], w), axis=-1)
-    acc = wext[..., k - 1 : k - 1 + n]
-    if k > 1:
-        acc = acc + wext[..., k - 2 : k - 2 + n]
-    for d in range(3, k + 1):
-        acc += wext[..., k - d : k - d + n]
+    acc = _slice_sums(np.concatenate((w[..., n - k :], w), axis=-1), range(k - 1, -1, -1), n)
     return denom, acc
 
 

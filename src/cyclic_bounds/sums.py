@@ -148,64 +148,53 @@ def _in_float64_range(fn):
 _TILE = 1 << 15
 
 
-def _add_windows(a: np.ndarray, k: int, shift: int, t0: int, tile: np.ndarray) -> None:
-    """Write into tile the sums of the windows starting at storage index j + shift.
+def _slice_sums(ext: np.ndarray, starts: Sequence[int], n: int, out=None) -> np.ndarray:
+    """Sum of ext[..., s : s + n] over starts, written into out when one is given.
 
-    tile is the view of columns t0 .. t0 + m - 1 of the result.  Each window
-    starts from its first entry, never from a 0.0 fill, and adds the others in
-    the order d = 1..k-1; as 0.0 + a == a for every a but -0.0, each sum is
-    bit for bit the one added into zeros, but for the sign of a zero sum.  A
-    tile that ends before the wrap reads a directly; only the last one
-    concatenates its own span with the k + shift - 1 entries that wrap around
-    to the start.
+    The sum starts from the first slice, never from a 0.0 fill, and adds the
+    rest in the order of starts; as 0.0 + a == a for every a but -0.0, each
+    entry is bit for bit the one added into zeros, but for the sign of a zero
+    sum.  Over an extended copy that repeats the entries a window wraps
+    around to, starts d .. d + k - 1 give window sums accumulated from their
+    own k entries, never by differencing long prefix sums, so relative error
+    stays at a few ulps per window even when entry magnitudes span hundreds
+    of orders.  Long rows are summed one tile of _TILE columns at a time, so
+    the accumulator stays in cache over all k slices; each entry adds the
+    same slices in the same order, so tiling changes no bit.  With a single
+    start and no out, the slice itself is returned.
     """
-    n, m = a.shape[-1], tile.shape[-1]
-    wrap = k + shift - 1
-    src = a[..., t0 + shift :]
-    if t0 + m + wrap > n:
-        src = np.concatenate([src, a[..., :wrap]], axis=-1)
-    if k == 1:
-        tile[...] = src[..., :m]
-        return
-    np.add(src[..., :m], src[..., 1 : m + 1], out=tile)
-    for d in range(2, k):
-        tile += src[..., d : d + m]
-
-
-def _window_sums(a: np.ndarray, k: int, shift: int) -> np.ndarray:
-    """Sums of k consecutive entries starting at storage index j + shift, for all j.
-
-    Windows run along the last axis, so a 2-d array gives the window sums of
-    each row.  Each window is accumulated directly from its k entries (never
-    by differencing long prefix sums), so relative error stays at a few ulps
-    per window even when entry magnitudes span hundreds of orders.
-
-    The sums are built one column tile of _TILE entries at a time, so at
-    large n the accumulator stays in cache over all k offsets.  Every window
-    still adds d = 0..k-1 in order, so each entry is bit for bit that of one
-    untiled pass over the whole axis.
-    """
-    out = np.empty(a.shape)
-    for t0 in range(0, a.shape[-1], _TILE):
-        _add_windows(a, k, shift, t0, out[..., t0 : t0 + _TILE])
-    return out
+    first, *rest = starts
+    acc = ext[..., first : first + n]
+    if rest:
+        second = rest.pop(0)
+        acc = np.add(acc, ext[..., second : second + n], out=out)
+    elif out is not None:
+        out[...] = acc
+        acc = out
+    for s in rest:
+        acc += ext[..., s : s + n]
+    return acc
 
 
 def _cyclic_terms(a: np.ndarray, k: int, shift: int, context: str) -> np.ndarray:
     """Terms a[j] / t[j + shift + 1, k] of a 1-d cyclic sum, fused per tile.
 
-    Each tile's window sums are built as in _window_sums, checked for zeros
-    and divided into in place while the tile is still in cache, so the terms
-    are bit for bit a / _window_sums(a, k, shift).  The first zero window
+    Each tile of _TILE terms takes its window sums from _slice_sums over a,
+    extended by the k + shift - 1 entries that wrap around to the start where
+    the tile's windows reach past the end; it checks them for zeros and
+    divides into them in place while the tile is still in cache, so the
+    terms are bit for bit those of one untiled pass.  The first zero window
     raises DomainError naming its 1-based start, followed by context.
     Callers sum the whole array, never per-tile partial sums, so numpy's
     pairwise order is that of the untiled terms.
     """
     n = a.size
+    wrap = k + shift - 1
     terms = np.empty(n)
     for t0 in range(0, n, _TILE):
         tile = terms[t0 : t0 + _TILE]
-        _add_windows(a, k, shift, t0, tile)
+        ext = a[t0:] if t0 + tile.size + wrap <= n else np.concatenate((a[t0:], a[:wrap]))
+        _slice_sums(ext, range(shift, shift + k), tile.size, tile)
         if not tile.all():
             start = (t0 + int(np.flatnonzero(tile == 0.0)[0]) + shift) % n + 1
             raise DomainError(f"window sum t[{start},{k}] is zero{context}")

@@ -208,8 +208,9 @@ REAL_SITES = [
 def test_one_real_check_for_every_site(call, good, error, name, interval, outside):
     # before the shared check "3" was parsed as 3.0, nan was called degenerate,
     # None raised a TypeError that named no argument, and TangentSolution kept
-    # its idx as it was given
-    for bad in ("3", None, math.nan, *outside):
+    # its idx as it was given; an int past float range and a sized array
+    # make float() itself raise
+    for bad in ("3", None, math.nan, 10**400, np.array([1.0, 2.0]), *outside):
         with pytest.raises(error) as err:
             call(bad)
         assert type(err.value) is error

@@ -189,6 +189,17 @@ class TestEvalF:
             fd = (eval_f(k, t + h) - eval_f(k, t - h)) / (2 * h)
             assert eval_f_derivative(k, t) == pytest.approx(fd, rel=1e-7)
 
+    @pytest.mark.parametrize("k, t, ulps", [(10**300, 1e300, 1), (2, 30.0, 5)],
+                             ids=["k=1e300", "k=2"])
+    def test_derivative_where_t_dwarfs_the_exponent(self, k, t, ulps):
+        # sp / k + t - sp lost sp / k to the rounding of t: 1.0 in place of e at
+        # (10**300, 1e300), about 20 ulps off at (2, 30)
+        with mp.workdps(60):
+            tt = mpf(t)
+            want = mp.exp(mp.log1p(mp.exp(tt)) / k) / (1 + mp.exp(-tt))
+            got = eval_f_derivative(k, t)
+            assert abs(mpf(got) - want) <= ulps * math.ulp(float(want))
+
     def test_rejects_non_integer_order(self):
         with pytest.raises(ValueError):
             eval_f(2.5, 0.0)
@@ -214,6 +225,11 @@ class TestFloors:
         ks = np.arange(1, 1_000_001, dtype=float)
         vals = ks * np.expm1(math.log(2.0) / ks)
         assert np.all(vals > math.log(2.0))
+
+    def test_never_below_ln2_for_any_power_of_ten(self):
+        # k = 10**20, 10**35, 10**38, 10**106, ... once rounded one ulp below ln 2
+        low = [e for e in range(1, 309) if lower_bound_theorem2(10**e) < math.log(2.0)]
+        assert low == []
 
     def test_decreasing_in_k(self):
         vals = [lower_bound_theorem2(k) for k in range(1, 200)]

@@ -28,6 +28,7 @@ from cyclic_bounds import (
     zero_insert,
 )
 from cyclic_bounds import sums
+from cyclic_bounds.optimize import _window_kernel
 
 
 def oracle_interval(xs, i, k):
@@ -338,7 +339,7 @@ TILED_CASES = [
 
 
 class TestTiledKernel:
-    """The tiled window sums reproduce one untiled pass bit for bit."""
+    """The tiled cyclic terms and the descent's row-wise window sums match one untiled pass."""
 
     @pytest.mark.parametrize("n,k", TILED_CASES)
     def test_window_sums_bitwise(self, n, k):
@@ -346,9 +347,10 @@ class TestTiledKernel:
         a = np.exp(rng.uniform(-30.0, 30.0, n))
         rows = np.exp(rng.uniform(-30.0, 30.0, (3, n)))
         for shift in (0, 1):
-            for x in (a, rows):
-                got = sums._window_sums(x, k, shift)
-                assert got.tobytes() == untiled_window_sums(x, k, shift).tobytes()
+            got = sums._cyclic_terms(a, k, shift, "")
+            assert got.tobytes() == (a / untiled_window_sums(a, k, shift)).tobytes()
+        got = _window_kernel(rows, k)[0]
+        assert got.tobytes() == untiled_window_sums(rows, k, 1).tobytes()
 
     @pytest.mark.parametrize("n,k", TILED_CASES)
     def test_sums_bitwise(self, n, k):
@@ -408,7 +410,7 @@ class TestRowBatch:
             shapes.append((int(rng.integers(1, 25)), n, int(rng.integers(1, n + 1))))
         for r_count, n, k in shapes:
             P = np.exp(rng.uniform(-30.0, 30.0, (r_count, n)))
-            got = (P / sums._window_sums(P, k, 1)).sum(axis=-1)
+            got = (P / _window_kernel(P, k)[0]).sum(axis=-1)
             for r in range(r_count):
                 assert got[r].hex() == diananda_sum(P[r], k).hex(), (r_count, n, k, r)
 

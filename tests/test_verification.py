@@ -3,8 +3,9 @@
 `_ragged_sums` must give each row's `diananda_sum` bit for bit, whatever mix
 of lengths, window lengths and row stacks one call holds; the kernel groups
 draw runs of same-range uniforms in one call and need that to be the stream
-of one call per value; and a group that draws all its cases before it sums
-them must still hold only a few MB at once.
+of one call per value; a group that draws all its cases before it sums
+them must still hold only a few MB at once; and a suite name other than
+"fast" or "all" is refused.
 """
 
 import tracemalloc
@@ -67,3 +68,10 @@ def test_peak_memory_of_the_full_suite():
     finally:
         tracemalloc.stop()
     assert peak <= 3e6
+
+
+def test_unknown_suite_is_refused():
+    for suite in ("slow", "ALL", "", None):
+        with pytest.raises(ValueError) as err:
+            run_verification(suite, 0)
+        assert str(err.value) == f"unknown suite {suite!r}; expected 'fast' or 'all'"
