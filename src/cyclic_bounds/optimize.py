@@ -28,8 +28,8 @@ than its arithmetic.  The best value found is an upper bound on the true
 infimum, never asserted to equal it.  A brute-force grid oracle for n <= 5
 provides an independent cross-check on desk-scale instances.
 
-The descent and `gradient` share one slice-based kernel: the window sums and
-the gradient's k-fold accumulation are both `sums._slice_sums` over an
+The descent and `gradient` share one window kernel: the window sums and
+the gradient's k-fold accumulation are both `sums._slice_sums` windows of an
 extended copy of each row, never `np.roll`.  The grid oracle broadcasts each
 term over the grid axes it depends on and adds its window in the same order,
 so its sums are those of `diananda_sum` too.
@@ -74,15 +74,16 @@ def _window_kernel(x: np.ndarray, k: int):
     x has shape (..., n).  Returns (denom, acc): denom[..., j] is the sum
     t_{j+1,k} of the k entries after j (cyclically), and acc[..., m] is the
     sum over d = 1..k of w[..., m - d] with w = x / denom^2, so the gradient
-    of diananda_sum is 1/denom - acc.  Both sums run over slices of an
-    extended copy in the order d = 1..k, each starting from its first slice,
-    so each row is computed exactly as it would be alone.
+    of diananda_sum is 1/denom - acc.  denom is the `_slice_sums` windows of
+    an extended copy of x, as `diananda_sum` sums them, and acc the same
+    windows of w reversed, read back in reverse; so each row is computed
+    exactly as it would be alone.
     """
     n = x.shape[-1]
-    denom = _slice_sums(np.concatenate((x, x[..., :k]), axis=-1), range(1, k + 1), n)
-    w = x / (denom * denom)
-    acc = _slice_sums(np.concatenate((w[..., n - k :], w), axis=-1), range(k - 1, -1, -1), n)
-    return denom, acc
+    denom = _slice_sums(np.concatenate((x[..., 1:], x[..., :k]), axis=-1), k, n)
+    w = (x / (denom * denom))[..., ::-1]
+    acc = _slice_sums(np.concatenate((w[..., 1:], w[..., :k]), axis=-1), k, n)
+    return denom, acc[..., ::-1]
 
 
 @_in_float64_range

@@ -8,6 +8,13 @@ indices.
 Every operation here is a pure function of immutable inputs and is safe to
 call concurrently.  A public sum whose window sums, quotients or total leave
 float64 range raises CapacityError instead of returning inf or a lost term.
+
+Every window sum, here and in the descent and the verification batches, comes
+from one helper, `_slice_sums`, in one of two orders.  A window of fewer than
+64 entries adds them left to right, so n windows cost O(nk) adds.  From 64
+entries on, a window adds the power-of-two blocks of k's binary digits,
+smallest first, each block the sum of its two halves, so n windows cost
+O(n log k).  Either way a window's bits depend only on its entries.
 """
 
 from __future__ import annotations
@@ -146,55 +153,86 @@ def _in_float64_range(fn):
 # Columns per tile: 2^15 float64 entries (256 KB) keep a tile's accumulator
 # and the slices added into it resident in a 2 MB L2 cache over all k offsets.
 _TILE = 1 << 15
+# Shortest window summed from power-of-two blocks: 64 is the smallest power of
+# two above every window length that a pinned output depends on, so those keep
+# the left-to-right fold's bits.
+_BLOCK_K = 64
 
 
-def _slice_sums(ext: np.ndarray, starts: Sequence[int], n: int, out=None) -> np.ndarray:
-    """Sum of ext[..., s : s + n] over starts, written into out when one is given.
+def _slice_sums(ext: np.ndarray, k: int, n: int, out=None) -> np.ndarray:
+    """Window sums ext[..., i : i + k].sum(-1) for i < n, written into out when one is given.
 
-    The sum starts from the first slice, never from a 0.0 fill, and adds the
-    rest in the order of starts; as 0.0 + a == a for every a but -0.0, each
-    entry is bit for bit the one added into zeros, but for the sign of a zero
-    sum.  Over an extended copy that repeats the entries a window wraps
-    around to, starts d .. d + k - 1 give window sums accumulated from their
-    own k entries, never by differencing long prefix sums, so relative error
-    stays at a few ulps per window even when entry magnitudes span hundreds
-    of orders.  Long rows are summed one tile of _TILE columns at a time, so
-    the accumulator stays in cache over all k slices; each entry adds the
-    same slices in the same order, so tiling changes no bit.  With a single
-    start and no out, the slice itself is returned.
+    ext holds at least n + k - 1 entries along its last axis.  Windows of
+    fewer than _BLOCK_K = 64 entries are the sum of the k slices
+    ext[..., d : d + n], started from the first slice (never from a 0.0
+    fill) and added in the order d = 1..k-1: O(nk) adds, each entry bit for
+    bit the one added into zeros, but for the sign of a zero sum (0.0 + a
+    == a for every a but -0.0).  From 64 entries on, each window is split,
+    left to right, into the power-of-two blocks of k's binary digits in
+    increasing size; each block of 2w entries is the sum of its two blocks
+    of w, and the window adds its blocks left to right from the smallest.
+    The blocks of each size are built for all windows at once, one level
+    from the one below into two reused buffers, so the cost is
+    O((n + k) log k) adds and a window's rounding chain at most 2 log2 k
+    adds long.  Either way each window is accumulated from its own k
+    entries, never by differencing long prefix sums, so relative error stays
+    at a few ulps per window even when entry magnitudes span hundreds of
+    orders, and a window's bits depend only on its entries, never on n or
+    on where ext starts.  With k = 1 and no out, the slice itself is
+    returned.
     """
-    first, *rest = starts
-    acc = ext[..., first : first + n]
-    if rest:
-        second = rest.pop(0)
-        acc = np.add(acc, ext[..., second : second + n], out=out)
-    elif out is not None:
-        out[...] = acc
-        acc = out
-    for s in rest:
-        acc += ext[..., s : s + n]
+    if k < _BLOCK_K:
+        acc = ext[..., :n]
+        if k > 1:
+            acc = np.add(acc, ext[..., 1 : 1 + n], out=out)
+        elif out is not None:
+            out[...] = acc
+            acc = out
+        for d in range(2, k):
+            acc += ext[..., d : d + n]
+        return acc
+    level, width, acc = ext[..., : n + k - 1], 1, None
+    spare = (np.empty(level.shape), np.empty(level.shape))
+    for j in range(k.bit_length()):
+        if j:
+            size = level.shape[-1] - width
+            into = spare[j % 2][..., :size]
+            level = np.add(level[..., :size], level[..., width : width + size], out=into)
+            width *= 2
+        if k & width:
+            block = level[..., k % width : k % width + n]
+            if acc is not None:
+                acc += block
+            elif out is None:
+                acc = block.copy()
+            else:
+                out[...] = block
+                acc = out
     return acc
 
 
 def _cyclic_terms(a: np.ndarray, k: int, shift: int, context: str) -> np.ndarray:
     """Terms a[j] / t[j + shift + 1, k] of a 1-d cyclic sum, fused per tile.
 
-    Each tile of _TILE terms takes its window sums from _slice_sums over a,
-    extended by the k + shift - 1 entries that wrap around to the start where
-    the tile's windows reach past the end; it checks them for zeros and
-    divides into them in place while the tile is still in cache, so the
-    terms are bit for bit those of one untiled pass.  The first zero window
-    raises DomainError naming its 1-based start, followed by context.
-    Callers sum the whole array, never per-tile partial sums, so numpy's
-    pairwise order is that of the untiled terms.
+    Each tile of max(_TILE, k) terms takes its window sums from _slice_sums
+    over a, extended by the k + shift - 1 entries that wrap around to the
+    start where the tile's windows reach past the end; a tile at least k
+    wide keeps the block levels' k extra entries per tile within a factor
+    of two of its width.  It checks the window sums for zeros and divides
+    into them in place while the tile is still in cache, so the terms are
+    bit for bit those of one untiled pass.  The first zero window raises
+    DomainError naming its 1-based start, followed by context.  Callers sum
+    the whole array, never per-tile partial sums, so numpy's pairwise order
+    is that of the untiled terms.
     """
     n = a.size
     wrap = k + shift - 1
+    width = max(_TILE, k)
     terms = np.empty(n)
-    for t0 in range(0, n, _TILE):
-        tile = terms[t0 : t0 + _TILE]
+    for t0 in range(0, n, width):
+        tile = terms[t0 : t0 + width]
         ext = a[t0:] if t0 + tile.size + wrap <= n else np.concatenate((a[t0:], a[:wrap]))
-        _slice_sums(ext, range(shift, shift + k), tile.size, tile)
+        _slice_sums(ext[shift:], k, tile.size, tile)
         if not tile.all():
             start = (t0 + int(np.flatnonzero(tile == 0.0)[0]) + shift) % n + 1
             raise DomainError(f"window sum t[{start},{k}] is zero{context}")
@@ -211,9 +249,12 @@ def diananda_sum(x: "CyclicVector | Sequence[float]", k: int) -> float:
     """Cyclic sum of entry i over the window sum of the k entries that follow it.
 
     The value is invariant under positive scaling of x and under cyclic
-    rotation.  Summation is numpy pairwise over the whole terms array, which
-    keeps the replication and zero-insertion identities within 1e-12
-    relative error at lengths of 1e6 and 2e6.
+    rotation.  Each window sum adds its k entries left to right when k < 64
+    and as power-of-two blocks from k = 64 on (see `_slice_sums`), at a cost
+    of O(nk) and O(n log k) adds.  Summation of the terms is numpy pairwise
+    over the whole terms array, which keeps the replication and
+    zero-insertion identities within 1e-12 relative error at lengths of 1e6
+    and 2e6.
 
     Raises DomainError (with the offending 1-based window start) if any
     denominator window sums to zero.

@@ -39,7 +39,7 @@ from .funcs import (
     lower_bound_theorem2,
 )
 from .optimize import gradient
-from .sums import CyclicVector, block_diagnostics, replicate, zero_insert
+from .sums import _BLOCK_K, CyclicVector, _slice_sums, block_diagnostics, replicate, zero_insert
 from .tangent import solve_tangent
 
 __all__ = ["GroupResult", "VerificationReport", "run_verification", "report_to_json"]
@@ -113,10 +113,11 @@ def _ragged_sums(cases) -> np.ndarray:
     whose windows of k <= n entries all have positive sums; lengths and k may
     differ between cases.  Each row is laid out as its n entries and then
     its first k again, and the rows follow each other sorted by k, longest
-    first.  The d = 0 slice of that layout is copied, and each offset
-    d = 1..k_max-1 is added as one slice over the leading rows whose k
-    exceeds d.  So each window adds its own entries in the order d = 0..k-1,
-    as `diananda_sum` does.  The quotients of the rows of one length are
+    first.  The windows of each case with k >= 64 are its `_slice_sums`
+    power-of-two blocks.  For the other rows the d = 0 slice of that layout
+    is copied, and each offset d = 1..k-1 is added as one slice over the
+    leading rows whose k exceeds d.  So each window adds its own entries in
+    the order `diananda_sum` does.  The quotients of the rows of one length are
     gathered into one contiguous array, whose sum along the last axis adds
     each row in numpy's pairwise order, as the sum of that row alone would.
     The layout ends in ones, so the windows that run past the last row,
@@ -143,15 +144,19 @@ def _ragged_sums(cases) -> np.ndarray:
             outs.extend(range(firsts[i], firsts[i] + rows.shape[0]))
             at += span
         ends.append(at)
-    k_max = cases[order[0]][1]
-    ext = np.concatenate(pieces + [np.ones(k_max)])
-    win = ext[1 : at + 1].copy()
+    ext = np.concatenate(pieces + [np.ones(cases[order[0]][1])])
+    win = np.empty(at)
+    big, begins = sum(k >= _BLOCK_K for _, k in cases), [0] + ends
+    for i, begin, end in zip(order[:big], begins, ends):
+        _slice_sums(ext[1 + begin :], cases[i][1], end - begin, win[begin:end])
+    edge = begins[big]
+    win[edge:] = ext[1 + edge : at + 1]
     lead = len(order)
-    for d in range(1, k_max):
+    for d in range(1, max((k for _, k in cases if k < _BLOCK_K), default=1)):
         while cases[order[lead - 1]][1] <= d:
             lead -= 1
         end = ends[lead - 1]
-        win[:end] += ext[1 + d : 1 + d + end]
+        win[edge:end] += ext[1 + d + edge : 1 + d + end]
     np.divide(ext[:at], win, out=win)
     out = np.empty(firsts[-1])
     for n, (starts, outs) in by_length.items():

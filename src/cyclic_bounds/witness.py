@@ -223,9 +223,14 @@ def plan_witness(
     would build from (k, n, m, a*, eps).  n = k q s with the smallest integer
     scale s making delta/n < eps/2.
 
-    Raises CapacityError only when the needed n exceeds n_cap, or when a
-    tiny eps puts it beyond float range; a plan whose entries would leave
-    float64 range is still returned, since only build_witness needs them.
+    Raises CapacityError when the needed n exceeds n_cap, or when a tiny eps
+    puts it beyond float range; a plan whose entries would leave float64
+    range is still returned, since only build_witness needs them.  Raises
+    SolverError when no convergent, mu_k itself included, meets the
+    mid-certificate in float arithmetic: eps/2 is then below the rounding of
+    the mid value, which needs eps within a few ulps of gamma, as in
+    plan_witness(5, 1e-16, solve_tangent(5)).  n is chosen only after a
+    convergent passes, so this happens whatever n_cap is.
     """
     ki = _integer("k", k, 2, error=InvalidSpecError)
     n_cap = _integer("n_cap", n_cap, 1, error=InvalidSpecError)

@@ -146,6 +146,22 @@ class TestWitnessCommand:
         assert code == 1
         assert "needed n" in err or "needs n" in err
 
+    def test_uncertified_report_exit_1(self, capsys, monkeypatch):
+        from cyclic_bounds import witness
+
+        def uncertified(spec, x):  # a value above its analytic bound
+            return witness.WitnessReport(0.9995, spec.analytic_bound, spec.gamma_plus_eps)
+
+        monkeypatch.setattr(witness, "_value_and_bound", uncertified)
+        code, out, err = run_cli(capsys, "witness", "--k", "2", "--eps", "0.01", "--format", "json")
+        assert code == 1
+        rec = json.loads(out)
+        assert rec["value"] == 0.9995 and rec["certified"] is False
+        assert err == (
+            f"witness certification failed: value=0.9995, bound={rec['analytic_bound']!r}, "
+            f"target={rec['gamma_plus_eps']!r}\n"
+        )
+
     def test_float64_range_refusal_exit_1(self, capsys):
         # the plan succeeds; building its vector, whose entries reach
         # exp(1061), is what is refused

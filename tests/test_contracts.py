@@ -9,7 +9,8 @@ raise one of the site's stated reasons:
 
 - solve_tangent: NoBracketError within 2^-23 of 1; a gamma never below gamma_inf;
 - TangentSolution: SolverError when the geometry fails;
-- plan_witness: CapacityError when the needed n exceeds n_cap or float range;
+- plan_witness: CapacityError when the needed n exceeds n_cap or float range,
+  SolverError when eps is within a few ulps of gamma;
 - WitnessSpec: InvalidSpecError when the mid-certificate or a_star < 0 < b_star fails,
   or when a_star / k underflows to 0.
 
@@ -25,22 +26,36 @@ must be refused as a mismatch.  So does the k of eval_f, eval_f_derivative
 and lower_bound_theorem2, whose values must match a 60-digit mpmath
 evaluation to a few ulps for every integer k, also past float range, and
 never fall below the softplus log(1 + e^t) that f_k(t) bounds.
+
+The sums and transforms get one strategy of cyclic vectors: n up to twice
+the tile width, k on both sides of the 64 at which windows switch to
+power-of-two blocks and k = n, entries log-uniform between two magnitudes
+from subnormal to 1e300, and a share of zeros.  diananda_sum, baston_sum and
+block_diagnostics must return finite values in their documented ranges (the
+normalized Diananda sum at or above its floor), or raise DomainError naming
+the first zero window (or entry) by its 1-based start, or CapacityError,
+which needs entries more than float64's range apart.  replicate must keep
+the normalized sum and zero_insert (with k + 1) the sum within 1e-12, or
+leave the transformed vector refused as the original is.
 """
 
 import math
 import sys
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclic_bounds import (
-    CapacityError, DegenerateFamilyError, InvalidSpecError, MinimizeConfig, NoBracketError,
-    SolverError, TangentSolution, WitnessSpec, eval_f, eval_f_derivative, eval_g,
-    eval_g_derivative, lower_bound_theorem2, minimize, plan_witness, solve_tangent,
-    witness_value_and_bound,
+    CapacityError, DegenerateFamilyError, DomainError, InvalidSpecError, MinimizeConfig,
+    NoBracketError, ShapeError, SolverError, TangentSolution, WitnessSpec, baston_sum,
+    block_diagnostics, diananda_sum, eval_f, eval_f_derivative, eval_g, eval_g_derivative,
+    lower_bound_theorem2, minimize, plan_witness, replicate, solve_tangent,
+    witness_value_and_bound, zero_insert,
 )
+from cyclic_bounds.sums import _TILE
 from cyclic_bounds.funcs import _softplus
 from cyclic_bounds.witness import DEFAULT_N_CAP
 
@@ -177,6 +192,27 @@ def test_plan_witness_eps(v):
     assert spec is None or witness_value_and_bound(spec).certified
 
 
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(st.integers(2, 12), st.floats(1e-18, 1e-14))
+@example(5, 1e-16)  # no convergent meets the mid-certificate, whatever n_cap is
+@example(2, 1e-16)  # the mid-certificate holds, and the default cap refuses n
+def test_plan_witness_eps_within_ulps_of_gamma(k, eps):
+    sol = solve_tangent(k)
+    try:
+        plan_witness(k, eps, sol)
+    except CapacityError as err:
+        assert err.required_n > DEFAULT_N_CAP
+        assert plan_witness(k, eps, sol, n_cap=err.required_n).n == err.required_n
+        return
+    except SolverError as err:
+        assert eps < 4 * math.ulp(sol.gamma), str(err)
+        assert "no continued-fraction convergent" in str(err)
+        with pytest.raises(SolverError):
+            plan_witness(k, eps, sol, n_cap=10**400)
+        return
+    raise AssertionError(f"planned k={k}, eps={eps} within the default cap")
+
+
 @contract(st.floats(0.0, 0.1))
 def test_witness_spec_eps(v):
     try:
@@ -310,3 +346,132 @@ def test_minimize(nk, seed, restarts, max_iters):
     assert res.certified_floor <= res.value <= 1.0 + 1e-12
     assert 0 <= res.converged_starts <= res.restarts_used
     assert res.x_best.n == n
+
+
+MAGNITUDES = (5e-324, 1e-310, 1e-300, 1e-10, 1.0, 1e10, 1e300)
+
+
+@st.composite
+def cyclic_vectors(draw):
+    """(x, k): log-uniform entries between two magnitudes, a share of them zero."""
+    n = draw(st.one_of(
+        st.integers(1, 130), st.sampled_from([_TILE - 1, _TILE + 1, 2 * _TILE - 63, 2 * _TILE])
+    ))
+    k = draw(st.one_of(
+        st.integers(1, 63), st.sampled_from([64, 65, 100, 127, 128, 1000, 2000]), st.just(n)
+    ))
+    k = min(k, n)
+    lo, hi = sorted(draw(st.tuples(st.sampled_from(MAGNITUDES), st.sampled_from(MAGNITUDES))))
+    zeros = draw(st.sampled_from([0.0, 0.001, 0.3, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.exp(rng.uniform(math.log(lo), math.log(hi), n))
+    x[rng.random(n) < zeros] = 0.0
+    return x, k
+
+
+SUMS = settings(derandomize=True, database=None, max_examples=30, deadline=None)
+
+
+def zero_window(x, k, shift):
+    """1-based start of the window of the first term whose k entries are all zero, else None."""
+    n = x.size
+    nonzero = np.concatenate(([0], np.cumsum(np.concatenate((x, x[:k])) != 0.0)))
+    counts = nonzero[shift + k : shift + k + n] - nonzero[shift : shift + n]
+    hits = np.flatnonzero(counts == 0)
+    return None if hits.size == 0 else (int(hits[0]) + shift) % n + 1
+
+
+def beyond_range(x) -> bool:
+    """Whether two nonzero entries of x are more than float64's range apart."""
+    nonzero = x[x > 0.0]
+    return math.log(nonzero.max()) - math.log(nonzero.min()) > math.log(sys.float_info.max)
+
+
+def checked_sum(fn, x, k, shift):
+    """fn(x, k), or None after checking that it failed for a stated reason."""
+    try:
+        s = fn(x, k)
+    except DomainError as err:
+        assert f"window sum t[{zero_window(x, k, shift)},{k}] is zero" in str(err)
+        return None
+    except CapacityError as err:
+        assert beyond_range(x) and "float64 range" in str(err)
+        return None
+    assert zero_window(x, k, shift) is None and math.isfinite(s)
+    return s
+
+
+@SUMS
+@given(cyclic_vectors())
+@example((np.ones(64), 64))
+@example((np.array([5e-324, 1e300] * 40), 70))  # 1e300 over a subnormal window overflows
+def test_diananda_sum(case):
+    x, k = case
+    s = checked_sum(diananda_sum, x, k, 1)
+    assert s is None or k / x.size * s >= lower_bound_theorem2(k)
+
+
+@SUMS
+@given(cyclic_vectors())
+def test_baston_sum(case):
+    x, k = case
+    s = checked_sum(baston_sum, x, k, 0)
+    assert s is None or 0.0 < s <= x.size
+
+
+@SUMS
+@given(cyclic_vectors())
+@example((np.array([1e-300, 1e300] * 64), 64))  # block ratios of 1e600
+def test_block_diagnostics(case):
+    x, k = case
+    if x.size % k:
+        with pytest.raises(ShapeError, match="not divisible"):
+            block_diagnostics(x, k)
+        x = x[: x.size - x.size % k]
+    try:
+        diag = block_diagnostics(x, k)
+    except DomainError as err:
+        assert f"entry {int(np.flatnonzero(x == 0.0)[0]) + 1} is zero" in str(err)
+        return
+    except CapacityError as err:
+        assert beyond_range(x) and "float64 range" in str(err)
+        return
+    assert np.isfinite(diag.ratios).all() and (diag.ratios > 0.0).all()
+    assert np.isfinite(diag.partials).all() and diag.nu * k == x.size
+    assert k / x.size * float(diag.partials.sum()) >= lower_bound_theorem2(k)
+
+
+def same_sum(x, k, y, j, scale):
+    """scale * diananda_sum(x, k) and diananda_sum(y, j) agree, or both are refused."""
+    sums = []
+    for v, w in ((x, k), (y, j)):
+        try:
+            sums.append(diananda_sum(v, w))
+        except (DomainError, CapacityError):
+            sums.append(None)
+    a, b = sums
+    assert (a is None) == (b is None)
+    assert a is None or abs(scale * a - b) <= 1e-12 * b
+
+
+@SUMS
+@given(cyclic_vectors(), st.integers(1, 3))
+def test_replicate(case, copies):
+    x, k = case
+    y = replicate(x, copies)
+    assert y.n == copies * x.size
+    same_sum(x, k, y, k, copies)
+
+
+@SUMS
+@given(cyclic_vectors())
+@example((np.ones(63), 63))  # the k + 1 = 64 windows of the result are blocks
+def test_zero_insert(case):
+    x, k = case
+    if x.size % k:
+        with pytest.raises(ShapeError, match="not divisible"):
+            zero_insert(x, k)
+        x = x[: x.size - x.size % k]
+    z = zero_insert(x, k)
+    assert z.n == x.size // k * (k + 1)
+    same_sum(x, k, z, k + 1, 1)

@@ -5,6 +5,7 @@ math.fsum over explicit Python loops, never the vectorized library path.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -307,13 +308,44 @@ class TestBlockDiagnostics:
 
 
 def untiled_window_sums(a, k, shift):
-    """The window sums as one pass over a full-length wrapped copy."""
+    """The window sums as one pass over a full-length wrapped copy.
+
+    Below 64 entries a window adds its entries left to right.  From 64 on it
+    is split, left to right, into the power-of-two blocks of k's binary
+    digits in increasing size, each block the sum of its two halves, and
+    adds the blocks left to right.
+    """
     n = a.shape[-1]
     ext = np.concatenate([a, a[..., : min(k + shift, n)]], axis=-1) if k + shift > 1 else a
+    ext = ext[..., shift:]
     acc = np.zeros(a.shape)
-    for d in range(k):
-        acc += ext[..., shift + d : shift + d + n]
+    if k < 64:
+        for d in range(k):
+            acc += ext[..., d : d + n]
+        return acc
+    blocks = [ext]  # blocks[j][..., i] sums the 2^j entries from i on
+    while 2 ** len(blocks) <= k:
+        half = 2 ** (len(blocks) - 1)
+        blocks.append(blocks[-1][..., :-half] + blocks[-1][..., half:])
+    offset = 0
+    for j, level in enumerate(blocks):
+        if k >> j & 1:
+            acc += level[..., offset : offset + n]
+            offset += 2**j
     return acc
+
+
+def tree_window(xs, i, k):
+    """Window x_i..x_{i+k-1} of a Python list in the documented block order, k >= 64."""
+    total, start = None, i
+    for j in range(k.bit_length()):
+        if k >> j & 1:
+            block = xs[start : start + 2**j]
+            start += 2**j
+            while len(block) > 1:
+                block = [block[m] + block[m + 1] for m in range(0, len(block), 2)]
+            total = block[0] if total is None else total + block[0]
+    return total
 
 
 def untiled_terms(a, k, shift, context):
@@ -332,7 +364,7 @@ def untiled_sum(a, k, shift, context):
 T = sums._TILE
 TILED_CASES = [
     (n, k)
-    for k in (1, 2, 3, 7, 8, 10, 100)
+    for k in (1, 2, 3, 7, 8, 10, 63, 64, 65, 100, 127, 128, 1000)
     for n in (1, 2, T - 1, T, T + 1, 2 * T + k, 100003)
     if k <= n
 ]
@@ -349,8 +381,10 @@ class TestTiledKernel:
         for shift in (0, 1):
             got = sums._cyclic_terms(a, k, shift, "")
             assert got.tobytes() == (a / untiled_window_sums(a, k, shift)).tobytes()
-        got = _window_kernel(rows, k)[0]
-        assert got.tobytes() == untiled_window_sums(rows, k, 1).tobytes()
+        denom, acc = _window_kernel(rows, k)
+        assert denom.tobytes() == untiled_window_sums(rows, k, 1).tobytes()
+        w = (rows / (denom * denom))[..., ::-1]  # acc sums the windows of w backwards
+        assert acc.tobytes() == untiled_window_sums(w, k, 1)[..., ::-1].tobytes()
 
     @pytest.mark.parametrize("n,k", TILED_CASES)
     def test_sums_bitwise(self, n, k):
@@ -377,6 +411,26 @@ class TestTiledKernel:
         assert diag.partials.tobytes() == ref.tobytes()
         blocks = b[:m].reshape(m // k, k).sum(axis=1)
         assert diag.ratios.tobytes() == (blocks / np.roll(blocks, -1)).tobytes()
+
+    @pytest.mark.parametrize("k", [64, 100, 1000, 1500])
+    def test_blocks_do_not_depend_on_the_tile(self, k, monkeypatch):
+        rng = np.random.default_rng([k, 2])
+        a = np.exp(rng.uniform(-30.0, 30.0, 5 * 1024 + k + 7))
+        want = [sums._cyclic_terms(a, k, shift, "").tobytes() for shift in (0, 1)]
+        monkeypatch.setattr(sums, "_TILE", 1 << 10)  # k = 1500 widens the tile to k
+        assert [sums._cyclic_terms(a, k, shift, "").tobytes() for shift in (0, 1)] == want
+
+    @pytest.mark.parametrize("k", [64, 100, 1000])
+    def test_block_order_and_error(self, k):
+        rng = np.random.default_rng([k, 3])
+        n = k + 200
+        xs = np.exp(rng.uniform(-30.0, 30.0, n + k - 1)).tolist()
+        got = sums._slice_sums(np.array(xs), k, n).tolist()
+        bound = 2 * math.ceil(math.log2(k)) * 2.0**-53
+        for i, w in enumerate(got):
+            assert w == tree_window(xs, i, k)
+            exact = math.fsum(xs[i : i + k])
+            assert abs(w - exact) <= bound * exact
 
     @pytest.mark.parametrize("k", [1, 3, 100])
     @pytest.mark.parametrize("where", ["first tile", "tile boundary", "next tile", "wrapped tail"])
@@ -424,6 +478,14 @@ class TestFloat64Range:
         with pytest.raises(CapacityError, match="float64 range"):
             diananda_sum([1e300, 1e-300], 1)  # was inf
         assert diananda_sum([1e307] * 3, 2) == 1.5
+
+    def test_block_windows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CapacityError, match="float64 range"):
+                diananda_sum([1e307] * 200, 100)  # every window sums to 1e309
+        period = [2.0**1016] * 99 + [29 * 2.0**1016]  # every window sums to 2^1023
+        assert diananda_sum(period * 2, 100) == 2.0
 
     def test_baston_sum(self):
         with pytest.raises(CapacityError, match="float64 range"):
