@@ -15,6 +15,12 @@ from one helper, `_slice_sums`, in one of two orders.  A window of fewer than
 entries on, a window adds the power-of-two blocks of k's binary digits,
 smallest first, each block the sum of its two halves, so n windows cost
 O(n log k).  Either way a window's bits depend only on its entries.
+
+`diananda_sum`, `baston_sum` and `block_diagnostics` never hold an n-length
+array of terms.  Each computes its terms a stretch of at most
+max(2^15, k) entries at a time into one buffer that belongs to the call.
+The two sums reduce the stretches along numpy's own pairwise tree, so each
+value is bit for bit np.add.reduce over all n terms.
 """
 
 from __future__ import annotations
@@ -211,33 +217,65 @@ def _slice_sums(ext: np.ndarray, k: int, n: int, out=None) -> np.ndarray:
     return acc
 
 
-def _cyclic_terms(a: np.ndarray, k: int, shift: int, context: str) -> np.ndarray:
-    """Terms a[j] / t[j + shift + 1, k] of a 1-d cyclic sum, fused per tile.
+def _terms_into(
+    out: np.ndarray, a: np.ndarray, k: int, shift: int, lo: int, context: str
+) -> np.ndarray:
+    """Terms a[j] / t[j + shift + 1, k] of a 1-d cyclic sum for j from lo, written into out.
 
-    Each tile of max(_TILE, k) terms takes its window sums from _slice_sums
-    over a, extended by the k + shift - 1 entries that wrap around to the
-    start where the tile's windows reach past the end; a tile at least k
-    wide keeps the block levels' k extra entries per tile within a factor
-    of two of its width.  It checks the window sums for zeros and divides
-    into them in place while the tile is still in cache, so the terms are
-    bit for bit those of one untiled pass.  The first zero window raises
-    DomainError naming its 1-based start, followed by context.  Callers sum
-    the whole array, never per-tile partial sums, so numpy's pairwise order
-    is that of the untiled terms.
+    The window sums come from _slice_sums over a[lo:], extended by the
+    entries that wrap around to the start where the windows reach past the
+    end.  They are checked for zeros and divided into in place while out is
+    still in cache, so the terms are bit for bit those of one pass over the
+    whole vector, wherever lo falls.  The first zero window raises
+    DomainError naming its 1-based start, followed by context.
     """
-    n = a.size
-    wrap = k + shift - 1
-    width = max(_TILE, k)
-    terms = np.empty(n)
-    for t0 in range(0, n, width):
-        tile = terms[t0 : t0 + width]
-        ext = a[t0:] if t0 + tile.size + wrap <= n else np.concatenate((a[t0:], a[:wrap]))
-        _slice_sums(ext[shift:], k, tile.size, tile)
-        if not tile.all():
-            start = (t0 + int(np.flatnonzero(tile == 0.0)[0]) + shift) % n + 1
-            raise DomainError(f"window sum t[{start},{k}] is zero{context}")
-        np.divide(a[t0 : t0 + tile.size], tile, tile)
-    return terms
+    n, m = a.size, out.size
+    end = lo + m + k + shift - 1
+    ext = a[lo:end] if end <= n else np.concatenate((a[lo:], a[: end - n]))
+    _slice_sums(ext[shift:], k, m, out)
+    if not out.all():
+        start = (lo + int(np.flatnonzero(out == 0.0)[0]) + shift) % n + 1
+        raise DomainError(f"window sum t[{start},{k}] is zero{context}")
+    return np.divide(a[lo : lo + m], out, out)
+
+
+def _cyclic_sum(a: np.ndarray, k: int, shift: int, context: str) -> np.float64:
+    """Sum of all n terms of _terms_into, bit for bit np.add.reduce of the whole terms array.
+
+    No n-length terms array is held: each leaf of _pairwise_tree, a stretch
+    of at most max(_TILE, k) terms, is written into one buffer and reduced
+    there.  (A tile at least k wide keeps the block levels' k extra entries
+    per tile within a factor of two of its width.)  Leaves run left first,
+    so the first zero window named is the lowest.  The buffer belongs to
+    the call, so calls may run concurrently.
+    """
+    buf = np.empty(min(a.size, max(_TILE, k)))
+
+    def leaf(lo: int, m: int) -> np.float64:
+        return np.add.reduce(_terms_into(buf[:m], a, k, shift, lo, context))
+
+    return _pairwise_tree(leaf, 0, a.size, buf.size)
+
+
+def _pairwise_tree(leaf, lo: int, m: int, width: int) -> np.float64:
+    """np.add.reduce of m float64 terms from lo, given leaf(lo, m) for stretches of at most width.
+
+    For contiguous float64, np.add.reduce is numpy's pairwise_sum over the
+    whole array: a stretch of more than 128 terms is split after
+    m // 2 - (m // 2) % 8 of its m terms and the sums of the two parts are
+    added.  This walks the same tree down to the stretches of at most width
+    terms, whose np.add.reduce is their subtree's own sum, so width must be
+    at least 128 if m exceeds it.  The adds above the leaves are np.float64
+    adds, so they obey the caller's np.errstate where a Python float would
+    overflow to inf silently.  (A closure that called itself would be a
+    reference cycle, keeping its arrays alive until the cyclic garbage
+    collector runs.)
+    """
+    if m <= width:
+        return leaf(lo, m)
+    m2 = m // 2
+    m2 -= m2 % 8
+    return _pairwise_tree(leaf, lo, m2, width) + _pairwise_tree(leaf, lo + m2, m - m2, width)
 
 
 # ---------------------------------------------------------------------------
@@ -251,17 +289,17 @@ def diananda_sum(x: "CyclicVector | Sequence[float]", k: int) -> float:
     The value is invariant under positive scaling of x and under cyclic
     rotation.  Each window sum adds its k entries left to right when k < 64
     and as power-of-two blocks from k = 64 on (see `_slice_sums`), at a cost
-    of O(nk) and O(n log k) adds.  Summation of the terms is numpy pairwise
-    over the whole terms array, which keeps the replication and
-    zero-insertion identities within 1e-12 relative error at lengths of 1e6
-    and 2e6.
+    of O(nk) and O(n log k) adds.  The terms are summed in numpy's pairwise
+    order over all n of them, one leaf of the tree at a time (see
+    `_cyclic_sum`), which keeps the replication and zero-insertion
+    identities within 1e-12 relative error at lengths of 1e6 and 2e6.
 
     Raises DomainError (with the offending 1-based window start) if any
     denominator window sums to zero.
     """
     v = as_cyclic_vector(x)
     k = _integer("k", k, 1, v.n, error=WindowError)
-    return float(_cyclic_terms(v.entries, k, 1, " while evaluating the cyclic sum").sum())
+    return float(_cyclic_sum(v.entries, k, 1, " while evaluating the cyclic sum"))
 
 
 @_in_float64_range
@@ -273,8 +311,7 @@ def baston_sum(x: "CyclicVector | Sequence[float]", k: int) -> float:
     """
     v = as_cyclic_vector(x)
     k = _integer("k", k, 1, v.n, error=WindowError)
-    terms = _cyclic_terms(v.entries, k, 0, " while evaluating the self-including cyclic sum")
-    return float(terms.sum())
+    return float(_cyclic_sum(v.entries, k, 0, " while evaluating the self-including cyclic sum"))
 
 
 # ---------------------------------------------------------------------------
@@ -319,26 +356,41 @@ def block_diagnostics(x: "CyclicVector | Sequence[float]", k: int) -> BlockDiagn
     k = _integer("k", k, 1, v.n, error=WindowError)
     if v.n % k != 0:
         raise ShapeError(f"length {v.n} is not divisible by window length {k}")
-    a = v.entries
-    if (a == 0.0).any():
-        bad = int(np.nonzero(a == 0.0)[0][0])
+    n, a = v.n, v.entries
+    if not a.all():
+        bad = int(np.flatnonzero(a == 0.0)[0])
         raise DomainError(f"entry {bad + 1} is zero; block diagnostics need x > 0")
-    block_sums = _block_sums(a, k)
-    ratios = block_sums / np.concatenate((block_sums[1:], block_sums[:1]))
-    partials = _block_sums(_cyclic_terms(a, k, 1, " while evaluating the block diagnostics"), k)
-    return BlockDiagnostics(k=k, nu=v.n // k, ratios=ratios, partials=partials)
+    # Tiles of whole blocks, so each block's sums come from one tile; ratios
+    # holds the block sums until each is divided by the next, cyclically.
+    width = k * max(1, _TILE // k)
+    buf = np.empty(min(n, width))
+    ratios, partials = np.empty(n // k), np.empty(n // k)
+    for lo in range(0, n, width):
+        tile = buf[: min(width, n - lo)]
+        blocks = slice(lo // k, (lo + tile.size) // k)
+        _block_sums(a[lo : lo + tile.size], k, ratios[blocks])
+        terms = _terms_into(tile, a, k, 1, lo, " while evaluating the block diagnostics")
+        _block_sums(terms, k, partials[blocks])
+    first = ratios[0]
+    np.divide(ratios[:-1], ratios[1:], out=ratios[:-1])
+    ratios[-1] /= first
+    return BlockDiagnostics(k=k, nu=n // k, ratios=ratios, partials=partials)
 
 
-def _block_sums(a: np.ndarray, k: int) -> np.ndarray:
-    """Sums of the consecutive blocks of k entries of a, bit for bit a.reshape(-1, k).sum(axis=1).
+def _block_sums(a: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
+    """Sums of the consecutive blocks of k entries of a, written into out.
 
-    numpy adds a row of fewer than 8 entries left to right, as the k strided
-    slices do, several times faster at small k; from 8 entries on it uses 8
-    accumulators, so those rows keep the reshape.
+    They are bit for bit a.reshape(-1, k).sum(axis=1).  numpy adds a row of
+    fewer than 8 entries left to right, as the k strided slices do, several
+    times faster at small k; from 8 entries on it uses 8 accumulators, so
+    those rows keep the reshape.
     """
     if k >= 8:
-        return a.reshape(-1, k).sum(axis=1)
-    out = a[0::k] + a[1::k] if k > 1 else a.copy()
+        return a.reshape(-1, k).sum(axis=1, out=out)
+    if k == 1:
+        out[...] = a
+        return out
+    np.add(a[0::k], a[1::k], out=out)
     for d in range(2, k):
         out += a[d::k]
     return out

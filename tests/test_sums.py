@@ -4,7 +4,11 @@ Independent oracle used throughout: direct per-term summation with
 math.fsum over explicit Python loops, never the vectorized library path.
 """
 
+import gc
 import math
+import sys
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -365,21 +369,30 @@ T = sums._TILE
 TILED_CASES = [
     (n, k)
     for k in (1, 2, 3, 7, 8, 10, 63, 64, 65, 100, 127, 128, 1000)
-    for n in (1, 2, T - 1, T, T + 1, 2 * T + k, 100003)
+    for n in (1, 2, T - 1, T, T + 1, 2 * T + k, 100003, 4 * T + 9, 8 * T + 1)
     if k <= n
 ]
 
 
+def stretch_terms(a, k, shift, cuts):
+    """The terms of a cyclic sum, one _terms_into call per stretch between consecutive cuts."""
+    return np.concatenate(
+        [sums._terms_into(np.empty(hi - lo), a, k, shift, lo, "") for lo, hi in zip(cuts, cuts[1:])]
+    )
+
+
 class TestTiledKernel:
-    """The tiled cyclic terms and the descent's row-wise window sums match one untiled pass."""
+    """The terms of any stretch and the descent's row-wise window sums match one untiled pass."""
 
     @pytest.mark.parametrize("n,k", TILED_CASES)
     def test_window_sums_bitwise(self, n, k):
         rng = np.random.default_rng([n, k])
         a = np.exp(rng.uniform(-30.0, 30.0, n))
         rows = np.exp(rng.uniform(-30.0, 30.0, (3, n)))
+        # stretches that start off the tile multiples, the last ones reaching into the wrap
+        cuts = sorted({0, n} | {c for c in (7, T - 1, T + 5, n // 2 + 3, n - k) if 0 < c < n})
         for shift in (0, 1):
-            got = sums._cyclic_terms(a, k, shift, "")
+            got = stretch_terms(a, k, shift, cuts)
             assert got.tobytes() == (a / untiled_window_sums(a, k, shift)).tobytes()
         denom, acc = _window_kernel(rows, k)
         assert denom.tobytes() == untiled_window_sums(rows, k, 1).tobytes()
@@ -416,9 +429,21 @@ class TestTiledKernel:
     def test_blocks_do_not_depend_on_the_tile(self, k, monkeypatch):
         rng = np.random.default_rng([k, 2])
         a = np.exp(rng.uniform(-30.0, 30.0, 5 * 1024 + k + 7))
-        want = [sums._cyclic_terms(a, k, shift, "").tobytes() for shift in (0, 1)]
-        monkeypatch.setattr(sums, "_TILE", 1 << 10)  # k = 1500 widens the tile to k
-        assert [sums._cyclic_terms(a, k, shift, "").tobytes() for shift in (0, 1)] == want
+        m = a.size - a.size % k
+
+        def outputs(width):
+            cuts = list(range(0, a.size, width)) + [a.size]
+            diag = block_diagnostics(a[:m], k)
+            return [stretch_terms(a, k, shift, cuts).tobytes() for shift in (0, 1)] + [
+                diananda_sum(a, k).hex(),
+                baston_sum(a, k).hex(),
+                diag.ratios.tobytes(),
+                diag.partials.tobytes(),
+            ]
+
+        want = outputs(a.size)  # one stretch, and every sum one leaf of at most _TILE terms
+        monkeypatch.setattr(sums, "_TILE", 1 << 10)  # k = 1500 widens a leaf to k
+        assert outputs(max(1 << 10, k)) == want
 
     @pytest.mark.parametrize("k", [64, 100, 1000])
     def test_block_order_and_error(self, k):
@@ -433,10 +458,20 @@ class TestTiledKernel:
             assert abs(w - exact) <= bound * exact
 
     @pytest.mark.parametrize("k", [1, 3, 100])
-    @pytest.mark.parametrize("where", ["first tile", "tile boundary", "next tile", "wrapped tail"])
+    @pytest.mark.parametrize(
+        "where", ["first tile", "tile boundary", "next tile", "wrapped tail", "tree split"]
+    )
     def test_zero_window_reported_across_tiles(self, k, where):
-        n = 2 * T + 50
-        p = {"first tile": 5, "tile boundary": T - 1, "next tile": T, "wrapped tail": n - 1}[where]
+        n = 100003 if where == "tree split" else 2 * T + 50
+        # numpy's pairwise sum splits 100003 terms after 50000, half of them rounded down to 8s
+        split = 50000 - (k + 1) // 2
+        p = {
+            "first tile": 5,
+            "tile boundary": T - 1,
+            "next tile": T,
+            "wrapped tail": n - 1,
+            "tree split": split,
+        }[where]
         a = np.ones(n)
         a[(p + np.arange(k)) % n] = 0.0
         if where != "first tile":
@@ -450,6 +485,76 @@ class TestTiledKernel:
             with pytest.raises(DomainError) as got:
                 fn(a, k)
             assert str(got.value) == str(ref.value)
+
+
+# diananda_sum and baston_sum hex of the certify benchmark's vectors: default_rng([0, 2]),
+# n = 1e6, log-uniform over six e-folds, one vector per k drawn in this order
+CERTIFY_SUMS = {
+    2: ("0x1.343304d7fe23dp+21", "0x1.e84ee90772816p+18"),
+    10: ("0x1.ff698967725f2p+16", "0x1.869d581823d3bp+16"),
+    100: ("0x1.3f1496811a09fp+13", "0x1.388b2d295a26ep+13"),
+}
+
+
+class TestCallContract:
+    """The bulk sums keep their bits, hold no n-length array and share nothing between calls."""
+
+    def test_certify_vectors_keep_their_bits(self):
+        rng = np.random.default_rng([0, 2])
+        for k, want in CERTIFY_SUMS.items():
+            x = CyclicVector(np.exp(rng.uniform(-3.0, 3.0, 1_000_000)))
+            assert (diananda_sum(x, k).hex(), baston_sum(x, k).hex()) == want
+
+    @pytest.mark.parametrize("k", [2, 10, 100])
+    def test_peak_memory_holds_no_n_length_array(self, k):
+        a = np.exp(np.random.default_rng([k, 4]).uniform(-3.0, 3.0, 2**20))
+        x, blocks = CyclicVector(a), CyclicVector(a[: a.size - a.size % k])  # n = k * nu for blocks
+        gc.disable()  # scratch held by a reference cycle would outlive the call
+        tracemalloc.start()
+        try:
+            for fn, v in ((diananda_sum, x), (baston_sum, x), (block_diagnostics, blocks)):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                out = fn(v, k)
+                # block_diagnostics returns two arrays of n / k entries; only the rest is scratch
+                kept = out.ratios.nbytes + out.partials.nbytes if fn is block_diagnostics else 0
+                peak = tracemalloc.get_traced_memory()[1] - before - kept
+                del out
+                left = tracemalloc.get_traced_memory()[0] - before
+                assert peak <= 1.5e6, (fn.__name__, peak)
+                assert left <= 2**14, (fn.__name__, left)
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+
+    def test_concurrent_calls_match_serial(self):
+        n, k = 3 * T + 5, 100
+        rngs = [np.random.default_rng([s, 5]) for s in (0, 1)]
+        xs = [CyclicVector(np.exp(rng.uniform(-30.0, 30.0, n))) for rng in rngs]
+
+        def values(x):
+            return diananda_sum(x, k).hex(), baston_sum(x, k).hex()
+
+        want = [[values(x)] * 20 for x in xs]
+        got = [[], []]
+        start = threading.Barrier(2, timeout=60)
+
+        def run(i):
+            start.wait()
+            got[i].extend(values(xs[i]) for _ in range(20))
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside the leaves too
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == want
 
 
 class TestRowBatch:
@@ -478,6 +583,11 @@ class TestFloat64Range:
         with pytest.raises(CapacityError, match="float64 range"):
             diananda_sum([1e300, 1e-300], 1)  # was inf
         assert diananda_sum([1e307] * 3, 2) == 1.5
+
+    def test_overflow_above_the_leaves(self):
+        # each leaf of 2^15 terms sums to 2^14 * 1e304 = 1.6384e308; only their sum overflows
+        with pytest.raises(CapacityError, match="float64 range"):
+            diananda_sum(np.tile([1e296, 1e-8], 2**15), 1)
 
     def test_block_windows(self):
         with warnings.catch_warnings():
