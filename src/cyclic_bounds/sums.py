@@ -9,12 +9,14 @@ Every operation here is a pure function of immutable inputs and is safe to
 call concurrently.  A public sum whose window sums, quotients or total leave
 float64 range raises CapacityError instead of returning inf or a lost term.
 
-Every window sum, here and in the descent and the verification batches, comes
-from one helper, `_slice_sums`, in one of two orders.  A window of fewer than
-64 entries adds them left to right, so n windows cost O(nk) adds.  From 64
-entries on, a window adds the power-of-two blocks of k's binary digits,
-smallest first, each block the sum of its two halves, so n windows cost
-O(n log k).  Either way a window's bits depend only on its entries.
+Every window sum here and in the descent comes from one helper,
+`_slice_sums`, in one of two orders; the verification batches'
+`_ragged_sums` adds its windows of fewer than 64 entries itself, in the
+same order.  A window of fewer than 64 entries adds them left to right, so
+n windows cost O(nk) adds.  From 64 entries on, a window adds the
+power-of-two blocks of k's binary digits, smallest first, each block the
+sum of its two halves, so n windows cost O(n log k).  Either way a
+window's bits depend only on its entries.
 
 `diananda_sum`, `baston_sum` and `block_diagnostics` never hold an n-length
 array of terms.  Each computes its terms a stretch of at most
@@ -322,10 +324,15 @@ def replicate(x: "CyclicVector | Sequence[float]", copies: int) -> CyclicVector:
     """Concatenation of `copies` copies of x.
 
     For every window length k valid for x, the normalized cyclic sum
-    diananda_sum(., k) / len(.) is preserved exactly.
+    diananda_sum(., k) / len(.) is preserved exactly.  Raises CapacityError,
+    before allocating, when the result's bytes exceed the largest array size.
     """
     copies = _integer("copies", copies, 1)
     v = as_cyclic_vector(x)
+    n = v.n * copies
+    if n * v.entries.itemsize > np.iinfo(np.intp).max:
+        raise CapacityError(f"{copies} copies of {v.n} entries exceed the largest array",
+                            required_n=n)
     return CyclicVector._adopt(np.tile(v.entries, copies))
 
 

@@ -22,16 +22,16 @@ vector, and only build_witness refuses a valid spec whose entries would
 leave float64 range.
 
 Only the scan's threshold and the scale depend on eps, so the rest of a
-plan and an evaluation is memoized in one bounded cache entry per (k, a*),
-_kernel_constants(k, a*).  A tangent solution is fixed by (k, a*), so the
-entry also fixes mu_k.  It holds g_k(a*) and delta; from the first plan on,
-the convergents p/q of mu_k with b*, the mid value and Fraction(p, q) of
-each one a scan has reached; and from the first evaluation on, the exact sum
-of the k - 1 wrap terms as a few non-overlapping partials.  A scan evaluates
-a convergent only when it reaches it, so a first plan costs no more than an
-uncached one, and a hand-built tangent solution for the same k with another
-a* gets its own entry.  The wrap partials are filled by the first
-evaluation, not by the plan, so refusing a plan for a huge k costs O(1).
+plan and an evaluation is memoized in bounded caches of immutable values,
+each keyed by what its value depends on: _kernel_constants(k, a*) holds
+g_k(a*) and delta; _scan_convergents(mu_k) the convergents p/q of mu_k with
+0 < p < q; _scan_row(k, a*, p, q) b*, the mid value and Fraction(p, q) of
+one convergent, computed only when a scan reaches it; and
+_wrap_partials(k, a*) the exact sum of the k - 1 wrap terms as a few
+non-overlapping partials.  A first plan therefore costs no more than an
+uncached one, a hand-built tangent solution for the same k with another a*
+gets its own values, and refusing a plan for a huge k costs O(1), since
+only an evaluation sums the wrap terms.
 
 A planned spec is built from the numbers the scan already holds (b*, the
 mid value, delta and gamma_k); it skips only their re-derivation, not the
@@ -163,18 +163,31 @@ def _right_abscissa(a_star: float, p: int, q: int) -> float:
 
 
 @lru_cache(maxsize=256)
-def _kernel_constants(k: int, a_star: float) -> list:
-    """[g_k(a*), delta = k^2 exp(-a*/k) - k g_k(a*), None, None].
-
-    delta/n bounds what the k tail terms add.  The first plan replaces the
-    first None by the scan's convergents p/q of mu_k (0 < p < q) and a row
-    (mid value, b*, Fraction(p, q)) per convergent, None until a scan reaches
-    it; the first evaluation replaces the second None by the partials of the
-    closed form's k - 1 wrap terms.  Each write stores what any other caller
-    would, so concurrent callers can only repeat work.
-    """
+def _kernel_constants(k: int, a_star: float) -> tuple[float, float]:
+    """(g_k(a*), delta = k^2 exp(-a*/k) - k g_k(a*)); delta/n bounds what the k tail terms add."""
     g = eval_g(k, a_star)
-    return [g, k * k * math.exp(-a_star / k) - k * g, None, None]
+    return g, k * k * math.exp(-a_star / k) - k * g
+
+
+@lru_cache(maxsize=256)
+def _scan_convergents(mu: float) -> tuple[tuple[int, int], ...]:
+    """The convergents p/q of mu with 0 < p < q, in the order a scan tries them."""
+    return tuple((p, q) for p, q in _convergents(mu) if 0 < p < q)
+
+
+@lru_cache(maxsize=1024)
+def _scan_row(k: int, a_star: float, p: int, q: int) -> tuple[float, float, Fraction]:
+    """(mid value, b*, Fraction(p, q)) of the convergent p/q of mu_k."""
+    b = _right_abscissa(a_star, p, q)
+    # convergents are coprime, so p/q is m/n in lowest terms
+    return _mixed_value(k, p / q, a_star, b), b, Fraction(p, q)
+
+
+@lru_cache(maxsize=256)
+def _wrap_partials(k: int, a_star: float) -> tuple[float, ...]:
+    """Exact partials of the closed form's k - 1 wrap terms, expm1(-a*/k) / (-expm1(a* s/k))."""
+    rise = math.expm1(-a_star / k)
+    return _exact_partials([rise / -math.expm1(a_star * s / k) for s in range(1, k)])
 
 
 def _exact_partials(terms: list[float]) -> tuple[float, ...]:
@@ -193,8 +206,7 @@ def _exact_partials(terms: list[float]) -> tuple[float, ...]:
 
 def _convergents(x: float) -> list[tuple[int, int]]:
     """Continued-fraction convergents p/q of a float, exact and terminating."""
-    fr = Fraction(x)
-    num, den = fr.numerator, fr.denominator
+    num, den = x.as_integer_ratio()
     coeffs = []
     while den:
         q, r = divmod(num, den)
@@ -239,21 +251,11 @@ def plan_witness(
         raise InvalidSpecError(f"tangent solution is for index {sol.idx}, not for k = {ki}")
     a_star, gamma = sol.a, solve_tangent(ki).gamma
     half = gamma + eps / 2.0
-    constants = _kernel_constants(ki, a_star)
-    if constants[2] is None:  # the first plan for this (k, a*)
-        convergents = [(p, q) for p, q in _convergents(sol.mu) if 0 < p < q]
-        constants[2] = (convergents, [None] * len(convergents))
-    convergents, rows = constants[2]
-    for i, (p, q) in enumerate(convergents):
-        row = rows[i]
-        if row is None:  # evaluated once, by the first scan that reaches it
-            b = _right_abscissa(a_star, p, q)
-            # convergents are coprime, so p/q is m/n in lowest terms
-            row = rows[i] = (_mixed_value(ki, p / q, a_star, b), b, Fraction(p, q))
-        mix, b, mu_star = row
+    for p, q in _scan_convergents(sol.mu):
+        mix, b, mu_star = _scan_row(ki, a_star, p, q)
         if not mix < half:
             continue
-        delta = constants[1]
+        delta = _kernel_constants(ki, a_star)[1]
         quotient = 2.0 * delta / (eps * ki * q)
         if quotient == math.inf:  # a subnormal eps: int() cannot take the overflow
             raise CapacityError(
@@ -332,14 +334,9 @@ def _closed_form_value(spec: WitnessSpec) -> float:
     (k, a*) is evaluated, O(1) after; no entry is formed.
     """
     k, a = spec.k, spec.a_star
-    constants = _kernel_constants(k, a)
-    g, wrap = constants[0], constants[3]
-    if wrap is None:
-        rise = math.expm1(-a / k)
-        wrap = constants[3] = _exact_partials([rise / -math.expm1(a * s / k) for s in range(1, k)])
     # the partials sum exactly to the wrap terms, so fsum rounds the same exact total
     total = math.fsum([spec.m_prime // k * math.exp(-spec.b_star),
-                       (spec.m - k + 1) * g / k, *wrap])
+                       (spec.m - k + 1) * _kernel_constants(k, a)[0] / k, *_wrap_partials(k, a)])
     return k / spec.n * total
 
 

@@ -18,6 +18,7 @@ import inspect
 import math
 import os
 import pickle
+import pkgutil
 import re
 import subprocess
 import sys
@@ -109,6 +110,20 @@ def test_numpy_loads_only_with_the_array_layer():
     namespace = {}
     exec("from cyclic_bounds import *", namespace)
     assert set(namespace) - {"__builtins__"} == PACKAGE_API
+
+
+def test_every_memo_is_bounded():
+    names = [info.name for info in pkgutil.iter_modules(cyclic_bounds.__path__)]
+    memos = {
+        f"{name}.{attr}": value
+        for name in names
+        for attr, value in vars(importlib.import_module(f"cyclic_bounds.{name}")).items()
+        if callable(getattr(value, "cache_info", None))
+    }
+    assert {"tangent._solve_tangent", "witness._kernel_constants"} <= set(memos)
+    unbounded = [name for name, memo in memos.items()
+                 if not isinstance(memo.cache_info().maxsize, int)]
+    assert unbounded == []
 
 
 def test_numeric_layers_know_no_output_format():

@@ -234,6 +234,13 @@ class TestTransforms:
         with pytest.raises(ValueError):
             replicate([1.0], 0)
 
+    @pytest.mark.parametrize("copies", [2**62, 2**63, 10**20])
+    def test_replicate_beyond_the_largest_array_is_capacity_error(self, copies):
+        # refused before numpy is asked to allocate the result
+        with pytest.raises(CapacityError) as info:
+            replicate([1.0, 2.0], copies)
+        assert info.value.required_n == 2 * copies
+
     def test_zero_insert_hand_case_k1(self):
         v = zero_insert([1.0, 2.0], 1)
         assert np.array_equal(v.entries, [1, 0, 2, 0])

@@ -9,6 +9,8 @@ import dataclasses
 import hashlib
 import math
 import pickle
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -32,10 +34,13 @@ from cyclic_bounds.witness import (
     _exact_partials,
     _kernel_constants,
     _right_abscissa,
+    _scan_convergents,
+    _scan_row,
+    _wrap_partials,
 )
 
 # the bounded caches behind planning and evaluation
-MEMOS = (_kernel_constants,)
+MEMOS = (_kernel_constants, _scan_convergents, _scan_row, _wrap_partials)
 
 
 def clear_memos():
@@ -326,19 +331,45 @@ class TestPlanWitness:
         for order in ((off, canon), (canon, off)):
             clear_memos()
             for sol in order:
+                misses = _scan_row.cache_info().misses
                 assert self.pin(3, 0.001, 10**7, sol) == pins[sol]
-                # the cached convergents are this solution's, not another's:
+                # the scan's convergents are this solution's, not another's:
                 # the two mu differ from the 15th convergent on, which no plan reaches
-                convergents, rows = _kernel_constants(3, sol.a)[2]
-                assert convergents == [(p, q) for p, q in _convergents(sol.mu) if 0 < p < q]
-                # and so are the mid values of the two it tried, 1/2 and 2/5: at
-                # 1/2 the two solutions' values differ by one ulp; no later one is evaluated
-                assert convergents[:2] == [(1, 2), (2, 5)] and rows[2:] == [None] * len(rows[2:])
-                for (p, q), (mix, _, _) in zip(convergents, rows[:2]):
-                    args = (3, p / q, sol.a, _right_abscissa(sol.a, p, q))
-                    assert mix == _mixed_value(*args)
-        for memo in MEMOS:
-            assert isinstance(memo.cache_info().maxsize, int)
+                convergents = _scan_convergents(sol.mu)
+                assert convergents == tuple((p, q) for p, q in _convergents(sol.mu) if 0 < p < q)
+                # and so are the rows of the two it tried, 1/2 and 2/5: at 1/2 the
+                # two solutions' mid values differ by one ulp; no later row is evaluated
+                assert convergents[:2] == ((1, 2), (2, 5))
+                assert _scan_row.cache_info().misses == misses + 2
+                size = _scan_row.cache_info().currsize
+                for p, q in convergents[:2]:
+                    mix = _scan_row(3, sol.a, p, q)[0]
+                    assert mix == _mixed_value(3, p / q, sol.a, _right_abscissa(sol.a, p, q))
+                assert _scan_row.cache_info().currsize == size  # both rows were the plan's
+
+    def test_concurrent_chains_keep_their_bits(self):
+        rows = self.GRID_PINS[:20]  # the benchmark's certify grid
+        orders = (rows, rows[::-1])
+        got = [[], []]
+        start = threading.Barrier(2, timeout=60)
+
+        def run(i):
+            start.wait()
+            got[i].extend(self.pin(*row[:3]) for row in orders[i])
+
+        clear_memos()
+        threads = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside the scans too
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [list(order) for order in orders]
 
 
 class TestBuildWitness:
@@ -608,7 +639,7 @@ class TestPlannedSpec:
 
 
 class TestWrapMemo:
-    """The k - 1 wrap terms are summed once per (k, a*), as exact partials in the kernel entry."""
+    """The k - 1 wrap terms are summed once per (k, a*), as exact partials in their own cache."""
 
     @staticmethod
     def wrap_terms(k, a):
@@ -634,17 +665,20 @@ class TestWrapMemo:
         clear_memos()
         sol = solve_tangent(4)
         spec = plan_witness(4, 1e-3, sol)
-        assert _kernel_constants(4, sol.a)[3] is None  # the plan never sums the wrap
-        assert _kernel_constants(4, sol.a)[2] is not None  # but keeps its scan
+        assert _wrap_partials.cache_info().currsize == 0  # the plan never sums the wrap
+        assert _scan_row.cache_info().currsize > 0  # but keeps its scan
         value = witness_value_and_bound(spec).value
-        parts = _kernel_constants(4, sol.a)[3]
+        parts = _wrap_partials(4, sol.a)
+        info = _wrap_partials.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)  # the evaluation's entry, reused
         assert parts == _exact_partials(self.wrap_terms(4, sol.a))
         assert witness_value_and_bound(spec).value.hex() == value.hex()
 
     def test_refusing_a_huge_k_sums_no_wrap(self):
         # 10^9 wrap terms would take minutes and gigabytes; the plan needs only delta
+        clear_memos()
         k = 10**9
         sol = solve_tangent(k)
         with pytest.raises(CapacityError):
             plan_witness(k, 1e-3, sol)
-        assert _kernel_constants(k, sol.a)[3] is None
+        assert _wrap_partials.cache_info().misses == 0
