@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 computational or file failure (diagnostic on
 stderr), 2 usage error.  All randomness flows from --seed, so identical
 invocations produce identical output.  Floats print with 17 significant digits
-in csv and json modes and 6 in text mode (the tangent intercept gamma keeps 12).
+in csv and json modes and 6 in text mode; the tangent intercept gamma keeps
+12 and the family index k prints in every mode as `_records` renders it.
 The output formats live here: each subcommand names its fields, in output
 order, and `_records` renders them; the numeric layers return plain records.
 """
@@ -116,6 +117,7 @@ def _cmd_tangent(parser, args) -> int:
     elif args.format == "json":
         sys.stdout.write(json_text([fields]) + "\n")
     else:
+        fields["k"] = cell("k", sol.idx)
         fields["gamma"] = cell("gamma", sol.gamma)  # 12 digits in every format
         fields["residuals"] = "  ".join(format(r, ".3g") for r in sol.residuals)
         _write_text(fields, 6)

@@ -9,10 +9,9 @@ Every operation here is a pure function of immutable inputs and is safe to
 call concurrently.  A public sum whose window sums, quotients or total leave
 float64 range raises CapacityError instead of returning inf or a lost term.
 
-Every window sum here and in the descent comes from one helper,
-`_slice_sums`, in one of two orders; the verification batches'
-`_ragged_sums` adds its windows of fewer than 64 entries itself, in the
-same order.  A window of fewer than 64 entries adds them left to right, so
+Every window sum here, in the descent and in the verification batches
+(`_ragged_sums`) comes from one helper, `_slice_sums`, in one of two
+orders.  A window of fewer than 64 entries adds them left to right, so
 n windows cost O(nk) adds.  From 64 entries on, a window adds the
 power-of-two blocks of k's binary digits, smallest first, each block the
 sum of its two halves, so n windows cost O(n log k).  Either way a
@@ -278,6 +277,56 @@ def _pairwise_tree(leaf, lo: int, m: int, width: int) -> np.float64:
     m2 = m // 2
     m2 -= m2 % 8
     return _pairwise_tree(leaf, lo, m2, width) + _pairwise_tree(leaf, lo + m2, m - m2, width)
+
+
+def _ragged_sums(cases) -> np.ndarray:
+    """diananda_sum of every row of every (rows, k) case, bit for bit, in case and row order.
+
+    rows is one row (1-d) or a stack of rows (2-d) of nonnegative entries
+    whose windows of k <= n entries all have positive sums; lengths and k may
+    differ between cases.  Each row is laid out as its n entries and then
+    its first k again, and the rows follow each other sorted by k, longest
+    first.  Each run of cases that share a k takes the windows of its whole
+    span from one `_slice_sums` call, so each window adds its own entries as
+    `_cyclic_sum`'s do.  The quotients of the rows of one length are
+    gathered into one contiguous array, whose sum along the last axis adds
+    each row in numpy's pairwise order, as the sum of that row alone would.
+    The windows that start in a row's repeated entries or past the last row
+    are never gathered; the layout ends in ones, so they stay positive.  It
+    skips the `CyclicVector` copy and checks, which cost more than the sum
+    at small n.
+    """
+    firsts = np.cumsum([0] + [rows.size // rows.shape[-1] for rows, _ in cases]).tolist()
+    order = sorted(range(len(cases)), key=lambda i: -cases[i][1])
+    pieces, run_ends, by_length = [], {}, {}
+    at = 0
+    for i in order:
+        rows, k = cases[i]
+        n = rows.shape[-1]
+        starts, outs = by_length.setdefault(n, ([], []))
+        if rows.ndim == 1:
+            pieces += (rows, rows[:k])
+            starts.append(at)
+            outs.append(firsts[i])
+            at += n + k
+        else:
+            span = rows.shape[0] * (n + k)
+            pieces.append(np.concatenate((rows, rows[:, :k]), axis=1).ravel())
+            starts.extend(range(at, at + span, n + k))
+            outs.extend(range(firsts[i], firsts[i] + rows.shape[0]))
+            at += span
+        run_ends[k] = at
+    ext = np.concatenate(pieces + [np.ones(cases[order[0]][1])])
+    win = np.empty(at)
+    begin = 0
+    for k, end in run_ends.items():
+        _slice_sums(ext[1 + begin :], k, end - begin, win[begin:end])
+        begin = end
+    np.divide(ext[:at], win, out=win)
+    out = np.empty(firsts[-1])
+    for n, (starts, outs) in by_length.items():
+        out[outs] = win[np.add.outer(starts, np.arange(n))].sum(axis=-1)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ byte-identical JSON.
 
 The groups that sum cyclic vectors draw all their cases before they
 evaluate any; the reference sums of a group are computed together by
-`_ragged_sums`, bit for bit those of `diananda_sum`.  No evaluation draws,
+`sums._ragged_sums`, bit for bit those of `diananda_sum`.  No evaluation draws,
 so the stream, and with it every report, depends only on the order of the
 draws.  Runs of same-range uniforms with no other draw between them are
 taken in one call, which yields the same stream as one call per value.  The
@@ -39,7 +39,7 @@ from .funcs import (
     lower_bound_theorem2,
 )
 from .optimize import gradient
-from .sums import _BLOCK_K, CyclicVector, _slice_sums, block_diagnostics, replicate, zero_insert
+from .sums import CyclicVector, _ragged_sums, block_diagnostics, replicate, zero_insert
 from .tangent import solve_tangent
 
 __all__ = ["GroupResult", "VerificationReport", "run_verification", "report_to_json"]
@@ -104,64 +104,6 @@ class _Tally:
 
     def result(self, name: str) -> GroupResult:
         return GroupResult(name, self.cases, self.failures, self.worst)
-
-
-def _ragged_sums(cases) -> np.ndarray:
-    """diananda_sum of every row of every (rows, k) case, bit for bit, in case and row order.
-
-    rows is one row (1-d) or a stack of rows (2-d) of nonnegative entries
-    whose windows of k <= n entries all have positive sums; lengths and k may
-    differ between cases.  Each row is laid out as its n entries and then
-    its first k again, and the rows follow each other sorted by k, longest
-    first.  The windows of each case with k >= 64 are its `_slice_sums`
-    power-of-two blocks.  For the other rows the d = 0 slice of that layout
-    is copied, and each offset d = 1..k-1 is added as one slice over the
-    leading rows whose k exceeds d.  So each window adds its own entries in
-    the order `diananda_sum` does.  The quotients of the rows of one length are
-    gathered into one contiguous array, whose sum along the last axis adds
-    each row in numpy's pairwise order, as the sum of that row alone would.
-    The layout ends in ones, so the windows that run past the last row,
-    whose quotients are never gathered, stay positive.  It skips the
-    `CyclicVector` copy and checks, which cost more than the sum at small n.
-    """
-    firsts = np.cumsum([0] + [rows.size // rows.shape[-1] for rows, _ in cases]).tolist()
-    order = sorted(range(len(cases)), key=lambda i: -cases[i][1])
-    pieces, ends, by_length = [], [], {}
-    at = 0
-    for i in order:
-        rows, k = cases[i]
-        n = rows.shape[-1]
-        starts, outs = by_length.setdefault(n, ([], []))
-        if rows.ndim == 1:
-            pieces += (rows, rows[:k])
-            starts.append(at)
-            outs.append(firsts[i])
-            at += n + k
-        else:
-            span = rows.shape[0] * (n + k)
-            pieces.append(np.concatenate((rows, rows[:, :k]), axis=1).ravel())
-            starts.extend(range(at, at + span, n + k))
-            outs.extend(range(firsts[i], firsts[i] + rows.shape[0]))
-            at += span
-        ends.append(at)
-    ext = np.concatenate(pieces + [np.ones(cases[order[0]][1])])
-    win = np.empty(at)
-    big, begins = sum(k >= _BLOCK_K for _, k in cases), [0] + ends
-    for i, begin, end in zip(order[:big], begins, ends):
-        _slice_sums(ext[1 + begin :], cases[i][1], end - begin, win[begin:end])
-    edge = begins[big]
-    win[edge:] = ext[1 + edge : at + 1]
-    lead = len(order)
-    for d in range(1, max((k for _, k in cases if k < _BLOCK_K), default=1)):
-        while cases[order[lead - 1]][1] <= d:
-            lead -= 1
-        end = ends[lead - 1]
-        win[edge:end] += ext[1 + d + edge : 1 + d + end]
-    np.divide(ext[:at], win, out=win)
-    out = np.empty(firsts[-1])
-    for n, (starts, outs) in by_length.items():
-        out[outs] = win[np.add.outer(starts, np.arange(n))].sum(axis=-1)
-    return out
 
 
 def _sample_indices(rng, count):

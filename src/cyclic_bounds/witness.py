@@ -235,6 +235,8 @@ def plan_witness(
     would build from (k, n, m, a*, eps).  n = k q s with the smallest integer
     scale s making delta/n < eps/2.
 
+    sol must have index float(k), under which solve_tangent memoizes k; any
+    other solution, or a k beyond float range, raises InvalidSpecError.
     Raises CapacityError when the needed n exceeds n_cap, or when a tiny eps
     puts it beyond float range; a plan whose entries would leave float64
     range is still returned, since only build_witness needs them.  Raises
@@ -247,7 +249,11 @@ def plan_witness(
     ki = _integer("k", k, 2, error=InvalidSpecError)
     n_cap = _integer("n_cap", n_cap, 1, error=InvalidSpecError)
     eps = _real("eps", eps, 0.0, math.inf, InvalidSpecError)
-    if sol.idx != ki:
+    try:
+        idx = float(ki)  # the index solve_tangent memoizes k under
+    except OverflowError:  # no solution is for a k beyond float range
+        idx = math.nan
+    if sol.idx != idx:
         raise InvalidSpecError(f"tangent solution is for index {sol.idx}, not for k = {ki}")
     a_star, gamma = sol.a, solve_tangent(ki).gamma
     half = gamma + eps / 2.0

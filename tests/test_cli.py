@@ -104,6 +104,14 @@ class TestTangentCommand:
         assert exc.value.code == 2
         assert "--k must be >= 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "fmt, head", [("text", "k       1234567\n"), ("csv", "1234567,"), ("json", '[{"k": 1234567,')]
+    )
+    def test_integral_k_prints_every_digit(self, capsys, fmt, head):
+        code, out, _ = run_cli(capsys, "tangent", "--k", "1234567", "--format", fmt)
+        assert code == 0
+        assert out.splitlines(keepends=True)[-1 if fmt == "csv" else 0].startswith(head)
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "tangent", "--k", "2", "--format", "json")
         assert code == 0
@@ -188,6 +196,13 @@ class TestWitnessCommand:
         assert code == 1
         assert out == ""
         assert err.startswith("capacity error: witness for k=2, eps=2.3e-308 needs n beyond")
+
+    def test_k_beyond_two_to_the_53_is_capacity_error(self, capsys):
+        # the solution is memoized under float(k) = 2^53, the plan's own index
+        code, out, err = run_cli(capsys, "witness", "--k", "9007199254740993", "--eps", "0.1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("capacity error: witness for k=9007199254740993, eps=0.1 needs n = ")
 
     def test_n_cap_refusal_exit_1(self, capsys):
         code, out, err = run_cli(

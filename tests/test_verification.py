@@ -13,8 +13,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cyclic_bounds.sums import diananda_sum
-from cyclic_bounds.verification import _ragged_sums, run_verification
+from cyclic_bounds.sums import _ragged_sums, diananda_sum
+from cyclic_bounds.verification import run_verification
 
 
 def _expected(cases):
@@ -43,6 +43,23 @@ def test_ragged_sums_one_length_many_k():
     x = np.exp(rng.uniform(-3.0, 3.0, 40))
     zeros = np.insert(x[:12], [3, 6, 9, 12], 0.0)  # zero_insert's layout, summed with k = 4
     cases = [(x, k) for k in range(1, 41)] + [(np.stack((x, 2.0 * x)), 40), (x[:1], 1), (zeros, 4)]
+    got = [v.hex() for v in _ragged_sums(cases).tolist()]
+    assert got == _expected(cases)
+
+
+@pytest.mark.parametrize("k", [3, 63, 64, 100])
+def test_ragged_sums_run_spans_cases_of_every_length(k):
+    # each k's cases are one run of windows: rows and stacks of four lengths,
+    # between cases of another k that sort before and after them
+    rng = np.random.default_rng(k)
+
+    def positive(shape):
+        return np.exp(rng.uniform(-3.0, 3.0, shape))
+
+    cases = [(positive(k + 1), k + 1)]
+    for n in (k, k + 1, 2 * k + 3, 3 * k):
+        cases += [(positive(n), k), (positive((2, n)), k)]
+    cases.append((positive(k), k - 1 or 1))
     got = [v.hex() for v in _ragged_sums(cases).tolist()]
     assert got == _expected(cases)
 

@@ -171,6 +171,18 @@ class TestPlanWitness:
         with pytest.raises(InvalidSpecError):
             plan_witness(2, 0.01, sol)
 
+    @pytest.mark.parametrize("k", [2**53 + 1, 10**17 + 1, 10**30])
+    def test_solution_for_the_float_of_k_is_accepted(self, k):
+        # solve_tangent memoizes k under float(k); the plan then reaches its
+        # own refusal, an n far beyond the cap
+        with pytest.raises(CapacityError, match=f"witness for k={k}, eps=0.1 needs n = "):
+            plan_witness(k, 0.1, solve_tangent(k))
+
+    @pytest.mark.parametrize("idx", [3, 2**60, math.inf])
+    def test_k_beyond_float_range_rejected(self, idx):
+        with pytest.raises(InvalidSpecError):
+            plan_witness(2**1024, 0.1, solve_tangent(idx))
+
     def test_k1_rejected(self):
         sol = solve_tangent(2)
         with pytest.raises(InvalidSpecError):
