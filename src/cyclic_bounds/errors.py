@@ -47,8 +47,8 @@ class InvalidSpecError(CyclicBoundsError, ValueError):
     """Witness plan violates one of its invariants."""
 
 
-def _integer(name: str, value, lo: int, hi: int | None = None, error: type = ValueError) -> int:
-    """value as an int in lo..hi (no upper end when hi is None), else raise error.
+def _integer(name: str, value, lo: int | None, hi: int | None = None, error: type = ValueError) -> int:
+    """value as an int in lo..hi (no end where lo or hi is None), else raise error.
 
     Python and numpy integers and integral floats are accepted; anything
     else (2.5, inf, nan, a string) raises error naming the argument.  An
@@ -58,9 +58,9 @@ def _integer(name: str, value, lo: int, hi: int | None = None, error: type = Val
         ival = int(value) if isinstance(value, float) and value.is_integer() else index(value)
     except TypeError:
         ival = None
-    if ival is None or ival < lo or (hi is not None and ival > hi):
-        bound = f">= {lo}" if hi is None else f"in {lo}..{hi}"
-        raise error(f"{name} must be an integer {bound}, got {value!r}")
+    if ival is None or lo is not None and ival < lo or hi is not None and ival > hi:
+        bound = "" if lo is None else f" >= {lo}" if hi is None else f" in {lo}..{hi}"
+        raise error(f"{name} must be an integer{bound}, got {value!r}")
     return ival
 
 

@@ -22,6 +22,12 @@ array of terms.  Each computes its terms a stretch of at most
 max(2^15, k) entries at a time into one buffer that belongs to the call.
 The two sums reduce the stretches along numpy's own pairwise tree, so each
 value is bit for bit np.add.reduce over all n terms.
+
+`replicate` and `zero_insert` write their output once, into the one array
+the result wraps, and never scan it.  Every way of creating a
+`CyclicVector` either scans its entries (finite and >= 0) or copies them
+from one that was scanned, and the transforms' outputs hold only such
+copies and 0.0, so a scan could not fail.
 """
 
 from __future__ import annotations
@@ -62,13 +68,16 @@ class CyclicVector:
 
     @classmethod
     def _adopt(cls, arr: np.ndarray) -> "CyclicVector":
-        """Wrap a float64 array this package has just built, without copying it.
+        """Wrap a 1-d float64 array this package has just built, without copying or scanning it.
 
-        Runs the same checks as the constructor and freezes arr in place, so
-        the caller must hold no other reference it still writes through.
+        Every way of creating a CyclicVector either scans its entries or
+        copies them from one that was scanned, so arr may hold only entries
+        that passed _checked, copied or not, and 0.0.  Freezes arr in place,
+        so the caller must hold no other reference it still writes through.
         """
+        arr.flags.writeable = False
         v = cls.__new__(cls)
-        v._entries = cls._checked(np.asarray(arr, dtype=float))
+        v._entries = arr
         return v
 
     @staticmethod
@@ -102,8 +111,8 @@ class CyclicVector:
         return iter(self._entries.tolist())
 
     def entry(self, i: int) -> float:
-        """Entry x_i under 1-based cyclic indexing, so entry(n + i) == entry(i)."""
-        return float(self._entries[(i - 1) % self.n])
+        """Entry x_i under 1-based cyclic indexing: entry(n + i) == entry(i) for every integer i."""
+        return float(self._entries[(_integer("i", i, None) - 1) % self.n])
 
     def __repr__(self) -> str:
         head = ", ".join(format(v, ".6g") for v in self._entries[:6])
@@ -375,6 +384,9 @@ def replicate(x: "CyclicVector | Sequence[float]", copies: int) -> CyclicVector:
     For every window length k valid for x, the normalized cyclic sum
     diananda_sum(., k) / len(.) is preserved exactly.  Raises CapacityError,
     before allocating, when the result's bytes exceed the largest array size.
+    The copies are written once, row by row, into the one array the result
+    wraps, and are not scanned again: they are exact copies of entries
+    that were checked when x was built.
     """
     copies = _integer("copies", copies, 1)
     v = as_cyclic_vector(x)
@@ -382,22 +394,28 @@ def replicate(x: "CyclicVector | Sequence[float]", copies: int) -> CyclicVector:
     if n * v.entries.itemsize > np.iinfo(np.intp).max:
         raise CapacityError(f"{copies} copies of {v.n} entries exceed the largest array",
                             required_n=n)
-    return CyclicVector._adopt(np.tile(v.entries, copies))
+    out = np.empty((copies, v.n))
+    out[...] = v.entries
+    return CyclicVector._adopt(out.reshape(-1))
 
 
 def zero_insert(x: "CyclicVector | Sequence[float]", k: int) -> CyclicVector:
     """Append one zero after each block of k entries (length must be divisible by k).
 
     The result has length (k+1) * (n/k), is admissible for window length k+1,
-    and satisfies diananda_sum(result, k+1) == diananda_sum(x, k).
+    and satisfies diananda_sum(result, k+1) == diananda_sum(x, k).  It is
+    written once, as an (n/k, k+1) array whose first k columns are the blocks
+    of x and whose last column is 0.0, and is not scanned again: every entry
+    is a copy of one that was checked when x was built, or 0.0.
     """
     v = as_cyclic_vector(x)
     k = _integer("k", k, 1, v.n, error=WindowError)
     if v.n % k != 0:
         raise ShapeError(f"length {v.n} is not divisible by window length {k}")
     nu = v.n // k
-    blocks = v.entries.reshape(nu, k)
-    out = np.concatenate([blocks, np.zeros((nu, 1))], axis=1)
+    out = np.empty((nu, k + 1))
+    out[:, :k] = v.entries.reshape(nu, k)
+    out[:, k] = 0.0
     return CyclicVector._adopt(out.reshape(-1))
 
 

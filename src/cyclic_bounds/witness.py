@@ -318,8 +318,9 @@ def build_witness(spec: WitnessSpec) -> CyclicVector:
     """Materialize the sparse-geometric vector described by spec.
 
     Log-entries are linear in the index and exponentiated once, so no
-    cumulative multiplication error accrues.  Raises CapacityError for a
-    valid spec whose entries leave float64 range.
+    cumulative multiplication error accrues; the entries get the
+    constructor's scan and are wrapped without a copy.  Raises CapacityError
+    for a valid spec whose entries leave float64 range.
     """
     import numpy as np
 
@@ -327,7 +328,7 @@ def build_witness(spec: WitnessSpec) -> CyclicVector:
 
     _check_float64_range(spec)
     logx = _log_profile(spec.n, spec.k, spec.m_prime, spec.a_star, spec.b_star)
-    return CyclicVector._adopt(np.exp(logx))
+    return CyclicVector._adopt(CyclicVector._checked(np.exp(logx)))
 
 
 def _closed_form_value(spec: WitnessSpec) -> float:

@@ -36,7 +36,9 @@ normalized Diananda sum at or above its floor), or raise DomainError naming
 the first zero window (or entry) by its 1-based start, or CapacityError,
 which needs entries more than float64's range apart.  replicate must keep
 the normalized sum and zero_insert (with k + 1) the sum within 1e-12, or
-leave the transformed vector refused as the original is.
+leave the transformed vector refused as the original is, and the
+constructor's entry scan, which the transforms skip, must accept every
+transform output.
 """
 
 import math
@@ -49,10 +51,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclic_bounds import (
-    CapacityError, DegenerateFamilyError, DomainError, InvalidSpecError, MinimizeConfig,
-    NoBracketError, ShapeError, SolverError, TangentSolution, WitnessSpec, baston_sum,
-    block_diagnostics, diananda_sum, eval_f, eval_f_derivative, eval_g, eval_g_derivative,
-    lower_bound_theorem2, minimize, plan_witness, replicate, solve_tangent,
+    CapacityError, CyclicVector, DegenerateFamilyError, DomainError, InvalidSpecError,
+    MinimizeConfig, NoBracketError, ShapeError, SolverError, TangentSolution, WitnessSpec,
+    baston_sum, block_diagnostics, diananda_sum, eval_f, eval_f_derivative, eval_g,
+    eval_g_derivative, lower_bound_theorem2, minimize, plan_witness, replicate, solve_tangent,
     witness_value_and_bound, zero_insert,
 )
 from cyclic_bounds.sums import _TILE
@@ -460,6 +462,7 @@ def test_replicate(case, copies):
     x, k = case
     y = replicate(x, copies)
     assert y.n == copies * x.size
+    assert CyclicVector(y.entries).entries.tobytes() == y.entries.tobytes()
     same_sum(x, k, y, k, copies)
 
 
@@ -474,4 +477,5 @@ def test_zero_insert(case):
         x = x[: x.size - x.size % k]
     z = zero_insert(x, k)
     assert z.n == x.size // k * (k + 1)
+    assert CyclicVector(z.entries).entries.tobytes() == z.entries.tobytes()
     same_sum(x, k, z, k + 1, 1)

@@ -79,16 +79,31 @@ class TestCyclicVector:
         with pytest.raises(ValueError):
             v.entries[0] = 9.0
 
-    def test_adopt_checks_and_freezes_without_copying(self):
+    def test_adopt_freezes_without_copying_and_checked_scans(self):
         arr = np.array([1.0, 0.0, 2.0])
         v = CyclicVector._adopt(arr)
         assert np.shares_memory(v.entries, arr)
         assert not arr.flags.writeable
         assert not np.shares_memory(CyclicVector(v.entries).entries, arr)
+        # the scan lives in _checked, which the constructor and build_witness call
+        assert CyclicVector._checked(np.array([0.0, 5e-324])).tolist() == [0.0, 5e-324]
         with pytest.raises(DomainError, match="entry 2"):
-            CyclicVector._adopt(np.array([1.0, -1.0]))
+            CyclicVector._checked(np.array([1.0, -1.0]))
         with pytest.raises(ShapeError):
-            CyclicVector._adopt(np.ones((2, 2)))
+            CyclicVector._checked(np.ones((2, 2)))
+
+    def test_entry_takes_any_integer(self):
+        v = CyclicVector([1.0, 2.0, 3.0])
+        indices = (2, 2.0, np.float64(2.0), np.int64(2), np.int32(5), -1, 0, 10**30)
+        assert [v.entry(i) for i in indices] == [2.0] * 6 + [3.0, 1.0]
+
+    @pytest.mark.parametrize("bad", [1.5, np.float64(0.5), math.nan, math.inf, "1", None])
+    def test_entry_refuses_a_non_integer_naming_i(self, bad):
+        # 2.0 and 1.5 raised numpy's IndexError, "1" and None a bare TypeError
+        with pytest.raises(ValueError) as err:
+            CyclicVector([1.0, 2.0, 3.0]).entry(bad)
+        assert type(err.value) is ValueError
+        assert str(err.value) == f"i must be an integer, got {bad!r}"
 
     def test_iterates_as_python_floats(self):
         items = list(CyclicVector([1, 2.5]))
@@ -562,6 +577,68 @@ class TestCallContract:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert got == want
+
+
+def zero_inserted(a, k):
+    """zero_insert's layout: each block of k entries of a, then 0.0."""
+    return np.concatenate((a.reshape(-1, k), np.zeros((a.size // k, 1))), axis=1).ravel()
+
+
+class TestTransformOutputs:
+    """Each transform writes one fresh frozen array, copies exact, and nothing else."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 192, T - 1, T, 2 * T, 2 * T + 3])
+    def test_fresh_read_only_exact_copies(self, n):
+        rng = np.random.default_rng([n, 6])
+        a = np.exp(rng.uniform(-700.0, 700.0, n))
+        a[rng.random(n) < 0.2] = 0.0
+        a[rng.random(n) < 0.1] = 5e-324
+        a[0] = -0.0  # the constructor admits -0.0; a copy keeps its sign
+        x = CyclicVector(a)
+        outs = [(replicate(x, c), np.tile(a, c)) for c in (1, 2, 3, 4)]
+        outs += [(zero_insert(x, k), zero_inserted(a, k)) for k in {1, 2, 64, n} if n % k == 0]
+        for out, want in outs:
+            assert not out.entries.flags.writeable
+            assert not np.shares_memory(out.entries, x.entries)
+            assert out.entries.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [2, 10, 100])
+    def test_doubled_sum_is_exactly_twice(self, k):
+        # numpy's pairwise tree splits 2n terms at n when n % 8 == 0 and 2n > _TILE,
+        # so each half is the tree of x's own n terms
+        x = CyclicVector(np.exp(np.random.default_rng([k, 7]).uniform(-3.0, 3.0, 2**16)))
+        assert diananda_sum(replicate(x, 2), k) == 2 * diananda_sum(x, k)
+
+    @pytest.mark.parametrize(
+        "transform, arg", [(replicate, 2), (zero_insert, 2), (zero_insert, 64)]
+    )
+    def test_output_is_the_only_allocation(self, transform, arg):
+        x = CyclicVector(np.exp(np.random.default_rng(8).uniform(-3.0, 3.0, 2**20)))
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = transform(x, arg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert peak <= out.entries.nbytes + 2**16, (out.entries.nbytes, peak)
+
+    def test_only_a_new_vector_is_scanned(self, monkeypatch):
+        checked, scanned = CyclicVector._checked, []
+
+        def spy(arr):
+            scanned.append(arr.size)
+            return checked(arr)
+
+        x = CyclicVector([1.0, 2.0, 3.0, 4.0])
+        monkeypatch.setattr(CyclicVector, "_checked", staticmethod(spy))
+        replicate(x, 3)
+        zero_insert(x, 2)
+        assert scanned == []
+        w = build_witness(plan_witness(2, 0.01, solve_tangent(2)))
+        assert scanned == [w.n]
 
 
 class TestRowBatch:
