@@ -11,13 +11,14 @@ and convex.  The helper p(x) = (1 - exp(-x)) / x links them through the exact
 factorization eval_g(k, x) = eval_g(INFINITY, x) * eval_p(x / k).
 
 Everything is evaluated through expm1/log1p style kernels so the removable
-singularities at x = 0 cost no accuracy, and extreme arguments fall back to
-log-space arithmetic instead of overflowing.
+singularities at x = 0 cost no accuracy, also where x/k is subnormal, and
+extreme arguments fall back to log-space arithmetic instead of overflowing.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import _integer, _real
 
@@ -58,10 +59,10 @@ def eval_g(idx, x: float) -> float:
     """Kernel value for family index idx (positive real or INFINITY) at real x."""
     k = _real("idx", idx, 0.0)
     x = float(x)
-    if k == INFINITY:
+    if k == INFINITY or abs(x / k) < sys.float_info.min:
+        # g_k(x) = g_inf(x) p(x/k), and p(x/k) is 1 to far below an ulp where
+        # x/k is subnormal, whose rounding -expm1(-x/k) would inherit
         return _g_inf(x)
-    if x == 0.0:
-        return 1.0
     if x > _EXP_MAX:
         # value ~ k e^{-x}; assemble in log space
         log_g = (

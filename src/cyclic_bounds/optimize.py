@@ -29,10 +29,10 @@ infimum, never asserted to equal it.  A brute-force grid oracle for n <= 5
 provides an independent cross-check on desk-scale instances.
 
 The descent and `gradient` share one window kernel: the window sums and
-the gradient's k-fold accumulation are both `sums._slice_sums` windows of an
-extended copy of each row, never `np.roll`.  The grid oracle broadcasts each
-term over the grid axes it depends on and adds its window in the same order,
-so its sums are those of `diananda_sum` too.
+the gradient's k-fold accumulation are both `sums._windows` of each row,
+never `np.roll`.  The grid oracle broadcasts each term over the grid axes
+it depends on and adds its window in the same order, so its sums are those
+of `diananda_sum` too.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, WindowError, _integer
+from .errors import CapacityError, DomainError, WindowError, _integer
 from .funcs import lower_bound_theorem2
-from .sums import CyclicVector, as_cyclic_vector, _in_float64_range, _slice_sums
+from .sums import CyclicVector, as_cyclic_vector, _in_float64_range, _windows
 from .tangent import solve_tangent
 from .witness import _log_profile, _right_abscissa
 
@@ -68,21 +68,26 @@ _STEP_CAP = 2.0  # largest change of any log coordinate in one step
 _LOG_SPREAD_CAP = 300.0
 
 
-def _window_kernel(x: np.ndarray, k: int):
+def _window_kernel(x: np.ndarray, k: int, checked: bool = False):
     """Window sums of each row of x and the gradient's k-fold accumulation.
 
     x has shape (..., n).  Returns (denom, acc): denom[..., j] is the sum
     t_{j+1,k} of the k entries after j (cyclically), and acc[..., m] is the
     sum over d = 1..k of w[..., m - d] with w = x / denom^2, so the gradient
-    of diananda_sum is 1/denom - acc.  denom is the `_slice_sums` windows of
-    an extended copy of x, as `diananda_sum` sums them, and acc the same
-    windows of w reversed, read back in reverse; so each row is computed
-    exactly as it would be alone.
+    of diananda_sum is 1/denom - acc.  denom is `sums._windows` of x, as
+    `diananda_sum` sums them, and acc `_windows` of w reversed, read back in
+    reverse; so each row is computed exactly as it would be alone.  When
+    checked, a window sum below 2^-511, whose square would fall out of
+    float64's normal range, raises CapacityError before any square is
+    formed.
     """
-    n = x.shape[-1]
-    denom = _slice_sums(np.concatenate((x[..., 1:], x[..., :k]), axis=-1), k, n)
-    w = (x / (denom * denom))[..., ::-1]
-    acc = _slice_sums(np.concatenate((w[..., 1:], w[..., :k]), axis=-1), k, n)
+    denom = _windows(x, k)
+    if checked and denom.min() < 2.0**-511:
+        start = (int(np.argmax(denom < 2.0**-511)) + 1) % x.shape[-1] + 1
+        raise CapacityError(
+            f"window sum t[{start},{k}] is below 2^-511; its square is beyond float64 range"
+        )
+    acc = _windows((x / (denom * denom))[..., ::-1], k)
     return denom, acc[..., ::-1]
 
 
@@ -92,7 +97,9 @@ def gradient(x: "CyclicVector | Sequence[float]", k: int) -> np.ndarray:
 
     Component m is 1/t_{m+1,k} minus the sum over the k windows containing
     x_m of x_i / t_{i+1,k}^2.  The degree-zero Euler identity
-    sum_m x_m * grad_m = 0 holds at every point.
+    sum_m x_m * grad_m = 0 holds at every point.  Raises CapacityError where
+    a window sum is below 2^-511, as its square leaves float64's normal
+    range, or where a value overflows.
     """
     v = as_cyclic_vector(x)
     k = _integer("k", k, 1, v.n, error=WindowError)
@@ -100,7 +107,7 @@ def gradient(x: "CyclicVector | Sequence[float]", k: int) -> np.ndarray:
     if (a == 0.0).any():
         bad = int(np.nonzero(a == 0.0)[0][0])
         raise DomainError(f"entry {bad + 1} is zero; the gradient needs x > 0")
-    denom, acc = _window_kernel(a, k)
+    denom, acc = _window_kernel(a, k, checked=True)
     return 1.0 / denom - acc
 
 

@@ -9,13 +9,15 @@ Every operation here is a pure function of immutable inputs and is safe to
 call concurrently.  A public sum whose window sums, quotients or total leave
 float64 range raises CapacityError instead of returning inf or a lost term.
 
-Every window sum here, in the descent and in the verification batches
-(`_ragged_sums`) comes from one helper, `_slice_sums`, in one of two
-orders.  A window of fewer than 64 entries adds them left to right, so
-n windows cost O(nk) adds.  From 64 entries on, a window adds the
-power-of-two blocks of k's binary digits, smallest first, each block the
-sum of its two halves, so n windows cost O(n log k).  Either way a
-window's bits depend only on its entries.
+Every window sum here comes from one helper, `_slice_sums`: the public
+sums take theirs through `_terms_into`, stacks of rows (the descent,
+`gradient` and `verify`'s finite differences) through `_windows`, and
+batches of 1-d rows of mixed lengths through `_ragged_sums`.  It adds a
+window in one of two orders.  A window of fewer than 64 entries adds its
+entries left to right, so n windows cost O(nk) adds.  From 64 entries on,
+a window adds the power-of-two blocks of k's binary digits, smallest
+first, each block the sum of its two halves, so n windows cost
+O(n log k).  Either way a window's bits depend only on its entries.
 
 `diananda_sum`, `baston_sum` and `block_diagnostics` never hold an n-length
 array of terms.  Each computes its terms a stretch of at most
@@ -288,42 +290,50 @@ def _pairwise_tree(leaf, lo: int, m: int, width: int) -> np.float64:
     return _pairwise_tree(leaf, lo, m2, width) + _pairwise_tree(leaf, lo + m2, m - m2, width)
 
 
-def _ragged_sums(cases) -> np.ndarray:
-    """diananda_sum of every row of every (rows, k) case, bit for bit, in case and row order.
+def _windows(x: np.ndarray, k: int) -> np.ndarray:
+    """Shift-one cyclic window sums of each row of x: [..., j] sums the k entries after j.
 
-    rows is one row (1-d) or a stack of rows (2-d) of nonnegative entries
-    whose windows of k <= n entries all have positive sums; lengths and k may
-    differ between cases.  Each row is laid out as its n entries and then
-    its first k again, and the rows follow each other sorted by k, longest
-    first.  Each run of cases that share a k takes the windows of its whole
-    span from one `_slice_sums` call, so each window adds its own entries as
-    `_cyclic_sum`'s do.  The quotients of the rows of one length are
-    gathered into one contiguous array, whose sum along the last axis adds
-    each row in numpy's pairwise order, as the sum of that row alone would.
-    The windows that start in a row's repeated entries or past the last row
-    are never gathered; the layout ends in ones, so they stay positive.  It
-    skips the `CyclicVector` copy and checks, which cost more than the sum
-    at small n.
+    They are the `_slice_sums` windows of each row extended by its first k
+    entries, so a row's windows are those of `diananda_sum`, bit for bit.
     """
-    firsts = np.cumsum([0] + [rows.size // rows.shape[-1] for rows, _ in cases]).tolist()
+    return _slice_sums(np.concatenate((x[..., 1:], x[..., :k]), axis=-1), k, x.shape[-1])
+
+
+def _row_sums(rows: np.ndarray, k: int) -> np.ndarray:
+    """diananda_sum of each row of rows, bit for bit, with no checks.
+
+    The quotients of a row are contiguous, so their sum along the last axis
+    adds them in numpy's pairwise order, as the sum of that row alone would.
+    """
+    return np.add.reduce(rows / _windows(rows, k), -1)
+
+
+def _ragged_sums(cases) -> np.ndarray:
+    """diananda_sum of the row of every (row, k) case, bit for bit, in case order.
+
+    row is 1-d, of nonnegative entries whose windows of k <= n entries all
+    have positive sums; lengths and k may differ between cases.  Each row is
+    laid out as its n entries and then its first k again, and the rows
+    follow each other sorted by k, longest first.  Each run of cases that
+    share a k takes the windows of its whole span from one `_slice_sums`
+    call, so each window adds its own entries as `_cyclic_sum`'s do.  The
+    quotients of the rows of one length are gathered into one contiguous
+    array, whose sum along the last axis adds each row in numpy's pairwise
+    order, as the sum of that row alone would.  The windows that start in a
+    row's repeated entries or past the last row are never gathered; the
+    layout ends in ones, so they stay positive.  It skips the `CyclicVector`
+    copy and checks, which cost more than the sum at small n.
+    """
     order = sorted(range(len(cases)), key=lambda i: -cases[i][1])
     pieces, run_ends, by_length = [], {}, {}
     at = 0
     for i in order:
-        rows, k = cases[i]
-        n = rows.shape[-1]
-        starts, outs = by_length.setdefault(n, ([], []))
-        if rows.ndim == 1:
-            pieces += (rows, rows[:k])
-            starts.append(at)
-            outs.append(firsts[i])
-            at += n + k
-        else:
-            span = rows.shape[0] * (n + k)
-            pieces.append(np.concatenate((rows, rows[:, :k]), axis=1).ravel())
-            starts.extend(range(at, at + span, n + k))
-            outs.extend(range(firsts[i], firsts[i] + rows.shape[0]))
-            at += span
+        row, k = cases[i]
+        starts, outs = by_length.setdefault(row.size, ([], []))
+        pieces += (row, row[:k])
+        starts.append(at)
+        outs.append(i)
+        at += row.size + k
         run_ends[k] = at
     ext = np.concatenate(pieces + [np.ones(cases[order[0]][1])])
     win = np.empty(at)
@@ -332,7 +342,7 @@ def _ragged_sums(cases) -> np.ndarray:
         _slice_sums(ext[1 + begin :], k, end - begin, win[begin:end])
         begin = end
     np.divide(ext[:at], win, out=win)
-    out = np.empty(firsts[-1])
+    out = np.empty(len(cases))
     for n, (starts, outs) in by_length.items():
         out[outs] = win[np.add.outer(starts, np.arange(n))].sum(axis=-1)
     return out

@@ -8,15 +8,16 @@ and the floor sweep over random vectors.  Identical seeds give
 byte-identical JSON.
 
 The groups that sum cyclic vectors draw all their cases before they
-evaluate any; the reference sums of a group are computed together by
-`sums._ragged_sums`, bit for bit those of `diananda_sum`.  No evaluation draws,
-so the stream, and with it every report, depends only on the order of the
-draws.  Runs of same-range uniforms with no other draw between them are
-taken in one call, which yields the same stream as one call per value.  The
-functions a group exists to check (the scalar kernels, `block_diagnostics`,
-`replicate`, `zero_insert`, `gradient`) are called once per case, and the
-kernels are never evaluated through numpy, whose SIMD exp and expm1 can
-differ from libm in the last bit.
+evaluate any.  The reference sums of a group are computed together by
+`sums._ragged_sums`, and the 2n perturbed sums of each gradient case as one
+stack by `sums._row_sums`, all bit for bit those of `diananda_sum`.  No
+evaluation draws, so the stream, and with it every report, depends only on
+the order of the draws.  Runs of same-range uniforms with no other draw
+between them are taken in one call, which yields the same stream as one
+call per value.  The functions a group exists to check (the scalar
+kernels, `block_diagnostics`, `replicate`, `zero_insert`, `gradient`) are
+called once per case, and the kernels are never evaluated through numpy,
+whose SIMD exp and expm1 can differ from libm in the last bit.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .funcs import (
     lower_bound_theorem2,
 )
 from .optimize import gradient
-from .sums import CyclicVector, _ragged_sums, block_diagnostics, replicate, zero_insert
+from .sums import CyclicVector, _ragged_sums, _row_sums, block_diagnostics, replicate, zero_insert
 from .tangent import solve_tangent
 
 __all__ = ["GroupResult", "VerificationReport", "run_verification", "report_to_json"]
@@ -302,31 +303,17 @@ def _invariance(rng, scale: int) -> GroupResult:
     return tally.result("invariance")
 
 
-def _central_differences(cases) -> list:
-    """For each (x, k), the central differences of diananda_sum(., k) at x with steps h = 1e-6 x.
+def _central_differences(x: np.ndarray, k: int) -> np.ndarray:
+    """Central differences of diananda_sum(., k) at x with steps h = 1e-6 x.
 
-    The 2n perturbed vectors x +- h_m e_m of the cases of one length are the
-    rows of one `_ragged_sums` batch, so every difference is bit for bit the
-    one computed from 2n `diananda_sum` calls.  One batch per length bounds
-    the rows held at once.
+    The 2n perturbed vectors x +- h_m e_m are the rows of one stack summed
+    by `sums._row_sums`, so every difference is bit for bit the one computed
+    from 2n `diananda_sum` calls.
     """
-    by_length: dict[int, list] = {}
-    for i, (x, _) in enumerate(cases):
-        by_length.setdefault(x.size, []).append(i)
-    fds = [None] * len(cases)
-    for n, idx in by_length.items():
-        xs = np.stack([cases[i][0] for i in idx])
-        hs = 1e-6 * xs
-        diag = np.arange(n)
-        plus = np.repeat(xs[:, None, :], n, axis=1)
-        minus = plus.copy()
-        plus[:, diag, diag] += hs
-        minus[:, diag, diag] -= hs
-        batch = [(rows[j], cases[i][1]) for j, i in enumerate(idx) for rows in (plus, minus)]
-        pm = _ragged_sums(batch).reshape(-1, 2, n)
-        for i, fd in zip(idx, (pm[:, 0] - pm[:, 1]) / (2.0 * hs)):
-            fds[i] = fd
-    return fds
+    h = 1e-6 * x
+    steps = np.diag(h)
+    pm = _row_sums(np.concatenate((x + steps, x - steps)), k)
+    return (pm[: x.size] - pm[x.size :]) / (2.0 * h)
 
 
 def _gradient_euler(rng, scale: int) -> GroupResult:
@@ -338,8 +325,8 @@ def _gradient_euler(rng, scale: int) -> GroupResult:
         k = int(rng.integers(1, n + 1))
         return np.exp(rng.uniform(-2.0, 2.0, n)), k
 
-    cases = [draw() for _ in range(scale)]
-    for (x, k), fd in zip(cases, _central_differences(cases)):
+    for x, k in [draw() for _ in range(scale)]:
+        fd = _central_differences(x, k)
         g = gradient(x, k)
         scale_g = max(1.0, float(np.abs(g).max()))
         for err in np.abs(fd - g) / scale_g:

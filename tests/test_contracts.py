@@ -34,8 +34,11 @@ from subnormal to 1e300, and a share of zeros.  diananda_sum, baston_sum and
 block_diagnostics must return finite values in their documented ranges (the
 normalized Diananda sum at or above its floor), or raise DomainError naming
 the first zero window (or entry) by its 1-based start, or CapacityError,
-which needs entries more than float64's range apart.  replicate must keep
-the normalized sum and zero_insert (with k + 1) the sum within 1e-12, or
+which needs entries more than float64's range apart.  gradient must return a
+finite vector at a positive point, or raise CapacityError where a window sum
+is below 2^-511 or its square or a quotient x_i / t_{i+1,k}^2 overflows, and
+DomainError naming the first zero entry.  replicate must keep the
+normalized sum and zero_insert (with k + 1) the sum within 1e-12, or
 leave the transformed vector refused as the original is, and the
 constructor's entry scan, which the transforms skip, must accept every
 transform output.
@@ -54,8 +57,8 @@ from cyclic_bounds import (
     CapacityError, CyclicVector, DegenerateFamilyError, DomainError, InvalidSpecError,
     MinimizeConfig, NoBracketError, ShapeError, SolverError, TangentSolution, WitnessSpec,
     baston_sum, block_diagnostics, diananda_sum, eval_f, eval_f_derivative, eval_g,
-    eval_g_derivative, lower_bound_theorem2, minimize, plan_witness, replicate, solve_tangent,
-    witness_value_and_bound, zero_insert,
+    eval_g_derivative, gradient, lower_bound_theorem2, minimize, plan_witness, replicate,
+    solve_tangent, witness_value_and_bound, zero_insert,
 )
 from cyclic_bounds.sums import _TILE
 from cyclic_bounds.funcs import _softplus
@@ -354,7 +357,7 @@ MAGNITUDES = (5e-324, 1e-310, 1e-300, 1e-10, 1.0, 1e10, 1e300)
 
 
 @st.composite
-def cyclic_vectors(draw):
+def cyclic_vectors(draw, zero_shares=(0.0, 0.001, 0.3, 1.0)):
     """(x, k): log-uniform entries between two magnitudes, a share of them zero."""
     n = draw(st.one_of(
         st.integers(1, 130), st.sampled_from([_TILE - 1, _TILE + 1, 2 * _TILE - 63, 2 * _TILE])
@@ -364,7 +367,7 @@ def cyclic_vectors(draw):
     ))
     k = min(k, n)
     lo, hi = sorted(draw(st.tuples(st.sampled_from(MAGNITUDES), st.sampled_from(MAGNITUDES))))
-    zeros = draw(st.sampled_from([0.0, 0.001, 0.3, 1.0]))
+    zeros = draw(st.sampled_from(zero_shares))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = np.exp(rng.uniform(math.log(lo), math.log(hi), n))
     x[rng.random(n) < zeros] = 0.0
@@ -411,6 +414,37 @@ def test_diananda_sum(case):
     x, k = case
     s = checked_sum(diananda_sum, x, k, 1)
     assert s is None or k / x.size * s >= lower_bound_theorem2(k)
+
+
+def window_sums(x, k):
+    """The window sums t_{j+1,k} of the k entries after each j, each summed on its own."""
+    return np.lib.stride_tricks.sliding_window_view(np.concatenate((x[1:], x[:k])), k).sum(1)
+
+
+@SUMS
+@given(cyclic_vectors(zero_shares=[0.0]))  # positive but for entries that underflow
+@example((np.array([1e-200] * 3), 2))  # was -inf, where t^2 underflows to 0.0
+@example((np.array([1e200, 1e-200, 1.0]), 2))  # t^2 overflows
+def test_gradient(case):
+    x, k = case
+    if not x.all():
+        with pytest.raises(DomainError, match=f"entry {int(np.flatnonzero(x == 0.0)[0]) + 1} "):
+            gradient(x, k)
+        return
+    t = window_sums(x, k)
+    try:
+        g = gradient(x, k)
+    except CapacityError as err:
+        assert "float64 range" in str(err)
+        # a window sum below 2^-511 or one whose square overflows (up to its
+        # rounding), or some x_i / t_{i+1}^2 beyond float64 range over the k
+        # terms that one component adds
+        tiny = t.min() < 2.0**-511 * (1.0 + 1e-9)
+        huge = t.max() > math.sqrt(sys.float_info.max) * (1.0 - 1e-9)
+        ratio = (np.log(x) - 2.0 * np.log(t)).max() > math.log(sys.float_info.max / k) - 1e-9
+        assert tiny or huge or ratio
+        return
+    assert g.shape == x.shape and np.isfinite(g).all()
 
 
 @SUMS

@@ -64,6 +64,11 @@ class TestEvalG:
                 want = float(mp_g(k, x))
                 got = eval_g(INFINITY if k is None else k, float(x))
                 assert got == pytest.approx(want, rel=1e-14), (k, x)
+        # x/k subnormal, or 0.0 though x is not: -x/k rounded before expm1 saw it
+        for k, x in [(2, 5e-324), (1e6, 3.3e-320), (2, 3.3e-322), (1e300, 1.2345e-20),
+                     (1e15, 1e-300), (1e200, 1e-110)]:
+            got = eval_g(k, x)
+            assert got > 0.0 and got == pytest.approx(float(mp_g(k, x)), rel=1e-14), (k, x)
 
     def test_factorization_through_limit_kernel(self):
         # exact identity: g_k(x) = g_inf(x) * p(x/k); the k = 4, x = 2 instance

@@ -152,6 +152,16 @@ class TestGradient:
         with pytest.raises(CapacityError, match="float64 range"):
             gradient([1e200, 1e-200, 1.0], 2)  # denom * denom overflows
 
+    def test_window_below_2_to_the_minus_511_raises_capacity_error(self):
+        # t^2 would be subnormal, or 0.0: the gradient was -inf here, or off by 5%
+        with pytest.raises(CapacityError, match=r"t\[2,2\] is below 2\^-511"):
+            gradient([1e-200] * 3, 2)
+        x = np.array([1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(CapacityError, match=r"t\[2,3\] is below 2\^-511"):
+            gradient(1e-162 * x, 3)
+        for c in (1e-150, 1e-153):  # smallest window sum 6c, above 2^-511: degree -1
+            assert np.allclose(gradient(c * x, 3) * c, gradient(x, 3), rtol=1e-12, atol=0.0), c
+
     def test_rejects_zero_entries(self):
         with pytest.raises(DomainError):
             gradient([1.0, 0.0, 1.0], 2)
