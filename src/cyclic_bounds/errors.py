@@ -64,20 +64,21 @@ def _integer(name: str, value, lo: int | None, hi: int | None = None, error: typ
     return ival
 
 
-def _real(name: str, value, lo: float, hi: float | None = None, error: type = ValueError) -> float:
-    """value as a Python float in (lo, hi), or in (lo, inf] when hi is None, else raise error.
+def _real(name: str, value, lo: float | None, hi: float | None = None, error=ValueError) -> float:
+    """value as a Python float in (lo, hi), else raise error naming the argument and its range.
 
-    Python and numpy reals, integers and 0-d arrays included, are taken through
-    their __float__; anything else (the string "3", bytes, None, a complex),
-    nan, an int beyond float range or a value out of range raises error
-    naming the argument and its range.  The result is never a numpy scalar.
+    The range takes inf when hi is None and -inf when lo is None.  Python and
+    numpy reals, integers and 0-d arrays included, are taken through their
+    __float__; anything else (the string "3", bytes, None, a complex), nan
+    or an int beyond float range raises error.  The result is never a numpy
+    scalar.
     """
     try:  # float() would also parse text, which has no __float__, and take a numpy complex
-        x = (float(value) if isinstance(value, float) or isinstance(value, int)
+        x = (value if type(value) is float else float(value) if isinstance(value, int)
              or hasattr(type(value), "__float__") and not isinstance(value, complex) else math.nan)
     except (TypeError, ValueError, OverflowError):  # a sized array, an int beyond float range
         x = math.nan
-    if lo < x and (hi is None or x < hi):
+    if (x == x if lo is None else lo < x) and (hi is None or x < hi):
         return x
-    top = "inf]" if hi is None else f"{hi:g})"
-    raise error(f"{name} must be a real number in ({lo:g}, {top}, got {value!r}")
+    bottom, top = "[-inf" if lo is None else f"({lo:g}", "inf]" if hi is None else f"{hi:g})"
+    raise error(f"{name} must be a real number in {bottom}, {top}, got {value!r}")

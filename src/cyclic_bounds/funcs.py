@@ -58,7 +58,7 @@ def _g_inf(x: float) -> float:
 def eval_g(idx, x: float) -> float:
     """Kernel value for family index idx (positive real or INFINITY) at real x."""
     k = _real("idx", idx, 0.0)
-    x = float(x)
+    x = x if type(x) is float and x == x else _real("x", x, None)  # a float: no call, no nan
     if k == INFINITY or abs(x / k) < sys.float_info.min:
         # g_k(x) = g_inf(x) p(x/k), and p(x/k) is 1 to far below an ulp where
         # x/k is subnormal, whose rounding -expm1(-x/k) would inherit
@@ -87,7 +87,7 @@ def eval_g(idx, x: float) -> float:
 
 def eval_p(x: float) -> float:
     """p(x) = (1 - exp(-x)) / x with the removable singularity p(0) = 1."""
-    x = float(x)
+    x = x if type(x) is float and x == x else _real("x", x, None)
     if x == 0.0:
         return 1.0
     if x == -math.inf:
@@ -157,7 +157,7 @@ def eval_g_derivative(idx, x: float) -> float:
     cancellation occurs anywhere.
     """
     k = _real("idx", idx, 0.0)
-    x = float(x)
+    x = x if type(x) is float and x == x else _real("x", x, None)
     if math.isinf(x):
         # limits: flat at +inf; slope of k e^{-x/k} (-inf) or of -x (-1) at -inf
         return 0.0 if x > 0.0 else (-1.0 if k == INFINITY else -math.inf)
@@ -203,13 +203,15 @@ def eval_f(k, t: float) -> float:
 
     f_k(0) = k (2^{1/k} - 1) is the floor of the normalized cyclic sum.
     """
-    return _block_bound(_integer("k", k, 1), _softplus(float(t)))
+    ki = _integer("k", k, 1)
+    t = t if type(t) is float and t == t else _real("t", t, None)
+    return _block_bound(ki, _softplus(t))
 
 
 def eval_f_derivative(k, t: float) -> float:
     """Closed form (1 + e^t)^{1/k} / (1 + e^{-t}); positive for all t."""
     ki = _integer("k", k, 1)
-    t = float(t)
+    t = t if type(t) is float and t == t else _real("t", t, None)
     sp = _softplus(t)
     if ki >= _K_FLOAT_END:  # e^{sp/k} / (1 + e^{-t}), without the rounding of t - sp
         return math.exp(_over_huge_k(sp, ki) + min(t, 0.0)) / (1.0 + math.exp(-abs(t)))

@@ -79,13 +79,15 @@ def _window_kernel(x: np.ndarray, k: int, checked: bool = False):
     reverse; so each row is computed exactly as it would be alone.  When
     checked, a window sum below 2^-511, whose square would fall out of
     float64's normal range, raises CapacityError before any square is
-    formed.
+    formed.  Only `gradient` checks, and only its refusal of the point it has
+    scaled reaches a caller, so the message speaks of that scale.
     """
     denom = _windows(x, k)
     if checked and denom.min() < 2.0**-511:
         start = (int(np.argmax(denom < 2.0**-511)) + 1) % x.shape[-1] + 1
         raise CapacityError(
-            f"window sum t[{start},{k}] is below 2^-511; its square is beyond float64 range"
+            f"window sum t[{start},{k}] is below 2^-511 once the largest is scaled into "
+            "[1/2, 1); its square is beyond float64 range"
         )
     acc = _windows((x / (denom * denom))[..., ::-1], k)
     return denom, acc[..., ::-1]
@@ -97,9 +99,14 @@ def gradient(x: "CyclicVector | Sequence[float]", k: int) -> np.ndarray:
 
     Component m is 1/t_{m+1,k} minus the sum over the k windows containing
     x_m of x_i / t_{i+1,k}^2.  The degree-zero Euler identity
-    sum_m x_m * grad_m = 0 holds at every point.  Raises CapacityError where
-    a window sum is below 2^-511, as its square leaves float64's normal
-    range, or where a value overflows.
+    sum_m x_m * grad_m = 0 holds at every point.  A point that the kernel
+    refuses as it stands (a window sum below 2^-511, whose square leaves
+    float64's normal range, or a value that overflows) is scaled by the
+    power of two 2^s that puts its largest window sum in [1/2, 1), and the
+    result by 2^s, since the gradient is homogeneous of degree -1; every
+    other point keeps the unscaled bits.  Raises CapacityError where a
+    window sum is still below 2^-511, so where the window sums span more
+    than about 2^511, or where a component overflows.
     """
     v = as_cyclic_vector(x)
     k = _integer("k", k, 1, v.n, error=WindowError)
@@ -107,8 +114,16 @@ def gradient(x: "CyclicVector | Sequence[float]", k: int) -> np.ndarray:
     if (a == 0.0).any():
         bad = int(np.nonzero(a == 0.0)[0][0])
         raise DomainError(f"entry {bad + 1} is zero; the gradient needs x > 0")
-    denom, acc = _window_kernel(a, k, checked=True)
-    return 1.0 / denom - acc
+    try:
+        denom, acc = _window_kernel(a, k, checked=True)
+        return 1.0 / denom - acc
+    except (CapacityError, FloatingPointError):
+        pass
+    # the largest entry into [1/2, 1) first, so that no window sum overflows
+    s = -math.frexp(float(a.max()))[1]
+    s -= math.frexp(float(_windows(np.ldexp(a, s), k).max()))[1]
+    denom, acc = _window_kernel(np.ldexp(a, s), k, checked=True)
+    return np.ldexp(1.0 / denom - acc, s)
 
 
 @dataclass(frozen=True)

@@ -416,15 +416,16 @@ def zero_insert(x: "CyclicVector | Sequence[float]", k: int) -> CyclicVector:
     and satisfies diananda_sum(result, k+1) == diananda_sum(x, k).  It is
     written once, as an (n/k, k+1) array whose first k columns are the blocks
     of x and whose last column is 0.0, and is not scanned again: every entry
-    is a copy of one that was checked when x was built, or 0.0.
+    is a copy of one that was checked when x was built, or 0.0.  Each block
+    is copied as one item of 8k bytes, so a small k costs no loop over rows.
     """
     v = as_cyclic_vector(x)
     k = _integer("k", k, 1, v.n, error=WindowError)
     if v.n % k != 0:
         raise ShapeError(f"length {v.n} is not divisible by window length {k}")
-    nu = v.n // k
-    out = np.empty((nu, k + 1))
-    out[:, :k] = v.entries.reshape(nu, k)
+    out = np.empty((v.n // k, k + 1))
+    block = f"V{8 * k}"
+    out[:, :k].view(block)[:, 0] = v.entries.view(block)
     out[:, k] = 0.0
     return CyclicVector._adopt(out.reshape(-1))
 

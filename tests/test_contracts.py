@@ -14,6 +14,11 @@ raise one of the site's stated reasons:
 - WitnessSpec: InvalidSpecError when the mid-certificate or a_star < 0 < b_star fails,
   or when a_star / k underflows to 0.
 
+The point x or t of eval_g, eval_g_derivative, eval_p, eval_f and
+eval_f_derivative may be any real, +-inf included (where each kernel gives
+its limit); text, None, a complex, nan or an int beyond float range must
+raise ValueError naming it.
+
 minimize gets a strategy over its integer arguments (n <= 24, every k <= n, a
 seed, up to two random starts and up to 80 iterations): its result must be
 finite, lie between the analytic floor and the uniform point's 1, and count
@@ -35,8 +40,8 @@ block_diagnostics must return finite values in their documented ranges (the
 normalized Diananda sum at or above its floor), or raise DomainError naming
 the first zero window (or entry) by its 1-based start, or CapacityError,
 which needs entries more than float64's range apart.  gradient must return a
-finite vector at a positive point, or raise CapacityError where a window sum
-is below 2^-511 or its square or a quotient x_i / t_{i+1,k}^2 overflows, and
+finite vector at a positive point, or raise CapacityError where its window
+sums span more than 2^510 or a component is beyond float64 range, and
 DomainError naming the first zero entry.  replicate must keep the
 normalized sum and zero_insert (with k + 1) the sum within 1e-12, or
 leave the transformed vector refused as the original is, and the
@@ -54,11 +59,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclic_bounds import (
-    CapacityError, CyclicVector, DegenerateFamilyError, DomainError, InvalidSpecError,
+    INFINITY, CapacityError, CyclicVector, DegenerateFamilyError, DomainError, InvalidSpecError,
     MinimizeConfig, NoBracketError, ShapeError, SolverError, TangentSolution, WitnessSpec,
     baston_sum, block_diagnostics, diananda_sum, eval_f, eval_f_derivative, eval_g,
-    eval_g_derivative, gradient, lower_bound_theorem2, minimize, plan_witness, replicate,
-    solve_tangent, witness_value_and_bound, zero_insert,
+    eval_g_derivative, eval_p, gradient, lower_bound_theorem2, minimize, plan_witness,
+    replicate, solve_tangent, witness_value_and_bound, zero_insert,
 )
 from cyclic_bounds.sums import _TILE
 from cyclic_bounds.funcs import _softplus
@@ -87,14 +92,14 @@ def contract(*edges):
 
 
 def inside(v, lo, hi=None) -> bool:
-    """Whether v is a Python real in (lo, hi), or in (lo, inf] when hi is None."""
+    """Whether v is a Python real in (lo, hi), or in (lo, inf] when hi is None; [-inf when lo is."""
     if not isinstance(v, (int, float)):
         return False
     try:
         x = float(v)
     except OverflowError:  # an int beyond float range
         return False
-    return lo < x and (hi is None or x < hi)
+    return (x == x if lo is None else lo < x) and (hi is None or x < hi)
 
 
 def integral(v):
@@ -119,7 +124,8 @@ def call_integer(f, v, error, name, lo):
 def call(f, v, error, name, interval):
     """f(v), or None after checking that a v outside interval raised error naming it."""
     lo, hi = {"(0, inf]": (0.0, None), "(1, inf]": (1.0, None),
-              "(0, inf)": (0.0, math.inf), "(-inf, inf)": (-math.inf, math.inf)}[interval]
+              "(0, inf)": (0.0, math.inf), "(-inf, inf)": (-math.inf, math.inf),
+              "[-inf, inf]": (None, None)}[interval]
     if inside(v, lo, hi):
         return f(v)
     with pytest.raises(error) as err:
@@ -147,6 +153,50 @@ def test_eval_g_derivative(v):
     assert r is None or -math.inf < r <= 0.0
     r = call(lambda k: eval_g_derivative(k, -0.3), v, ValueError, "idx", "(0, inf]")
     assert r is None or r < 0.0  # -inf where e^{0.3/k} overflows
+
+
+# the point of each scalar kernel: every real, +-inf at the kernel's limits, and no
+# text, None, complex or nan
+POINTS = (st.floats(-800.0, 800.0), st.sampled_from([-math.inf, math.inf, 0.0, -0.0, 10**400]))
+
+
+def point_contract(test):
+    """contract() over the points, with a complex and an int beyond float range tried."""
+    return contract(*POINTS)(example(10**400)(example(1 + 0j)(test)))
+
+
+@point_contract
+def test_eval_g_x(v):
+    for k in (2, 0.5, INFINITY):
+        r = call(lambda x: eval_g(k, x), v, ValueError, "x", "[-inf, inf]")
+        assert r is None or 0.0 <= r  # 0 at inf, inf at -inf and where it overflows
+
+
+@point_contract
+def test_eval_g_derivative_x(v):
+    for k in (2, 0.5, INFINITY):
+        r = call(lambda x: eval_g_derivative(k, x), v, ValueError, "x", "[-inf, inf]")
+        assert r is None or r <= 0.0  # 0.0 at inf, -inf (k finite) or -1 (k inf) at -inf
+
+
+@point_contract
+def test_eval_p_x(v):
+    r = call(eval_p, v, ValueError, "x", "[-inf, inf]")
+    assert r is None or 0.0 <= r  # 0 at inf, inf at -inf
+
+
+@point_contract
+def test_eval_f_t(v):
+    for k in (1, 3, 10**400):
+        r = call(lambda t: eval_f(k, t), v, ValueError, "t", "[-inf, inf]")
+        assert r is None or r >= _softplus(float(v))  # 0 at -inf, inf at inf
+
+
+@point_contract
+def test_eval_f_derivative_t(v):
+    for k in (1, 3, 10**400):
+        r = call(lambda t: eval_f_derivative(k, t), v, ValueError, "t", "[-inf, inf]")
+        assert r is None or 0.0 <= r  # 0 at -inf, inf at inf
 
 
 @contract(st.floats(1.0, 1.0 + 1e-5), st.floats(1e15, 1e308))
@@ -424,7 +474,8 @@ def window_sums(x, k):
 @SUMS
 @given(cyclic_vectors(zero_shares=[0.0]))  # positive but for entries that underflow
 @example((np.array([1e-200] * 3), 2))  # was -inf, where t^2 underflows to 0.0
-@example((np.array([1e200, 1e-200, 1.0]), 2))  # t^2 overflows
+@example((np.array([1e200] * 3), 2))  # t^2 overflows unless scaled
+@example((np.array([1e200, 1e-200, 1.0]), 2))  # windows 1e200 apart
 def test_gradient(case):
     x, k = case
     if not x.all():
@@ -436,13 +487,12 @@ def test_gradient(case):
         g = gradient(x, k)
     except CapacityError as err:
         assert "float64 range" in str(err)
-        # a window sum below 2^-511 or one whose square overflows (up to its
-        # rounding), or some x_i / t_{i+1}^2 beyond float64 range over the k
-        # terms that one component adds
-        tiny = t.min() < 2.0**-511 * (1.0 + 1e-9)
-        huge = t.max() > math.sqrt(sys.float_info.max) * (1.0 - 1e-9)
-        ratio = (np.log(x) - 2.0 * np.log(t)).max() > math.log(sys.float_info.max / k) - 1e-9
-        assert tiny or huge or ratio
+        # scaled so that the largest window sum is in [1/2, 1), some window
+        # sum is below 2^-511 (up to rounding), or a component, which is at
+        # most 1/t_min + t_max/t_min^2 in size, is beyond float64 range
+        wide = np.log2(t.max()) - np.log2(t.min()) > 510.0 - 1e-9
+        steep = t.min() < 2.0**-512
+        assert wide or steep
         return
     assert g.shape == x.shape and np.isfinite(g).all()
 

@@ -26,21 +26,19 @@ from cyclic_bounds import (
     solve_tangent,
     witness_value_and_bound,
 )
-from cyclic_bounds.tangent import TangentSolution, _mixed_value
+from cyclic_bounds.tangent import TangentSolution
 from cyclic_bounds.witness import (
     WitnessReport,
     WitnessSpec,
     _convergents,
     _exact_partials,
     _kernel_constants,
-    _right_abscissa,
-    _scan_convergents,
-    _scan_row,
+    _plan,
     _wrap_partials,
 )
 
 # the bounded caches behind planning and evaluation
-MEMOS = (_kernel_constants, _scan_convergents, _scan_row, _wrap_partials)
+MEMOS = (_plan, _kernel_constants, _wrap_partials)
 
 
 def clear_memos():
@@ -60,11 +58,11 @@ def oracle_cyclic_sum(xs, k):
 class TestConvergents:
     def test_known_expansion(self):
         # 0.4375 = 7/16 = [0; 2, 3, 2]; convergents 0/1, 1/2, 3/7, 7/16
-        got = _convergents(0.4375)
+        got = list(_convergents(0.4375))
         assert got[:4] == [(0, 1), (1, 2), (3, 7), (7, 16)]
 
     def test_terminates_exactly(self):
-        convs = _convergents(0.3926990816987241)
+        convs = list(_convergents(0.3926990816987241))
         p, q = convs[-1]
         assert Fraction(p, q) == Fraction(0.3926990816987241)
 
@@ -343,21 +341,46 @@ class TestPlanWitness:
         for order in ((off, canon), (canon, off)):
             clear_memos()
             for sol in order:
-                misses = _scan_row.cache_info().misses
+                # the solution one ulp off gets its own entry, keyed by its a* and mu_k
+                misses = _plan.cache_info().misses
                 assert self.pin(3, 0.001, 10**7, sol) == pins[sol]
-                # the scan's convergents are this solution's, not another's:
-                # the two mu differ from the 15th convergent on, which no plan reaches
-                convergents = _scan_convergents(sol.mu)
-                assert convergents == tuple((p, q) for p, q in _convergents(sol.mu) if 0 < p < q)
-                # and so are the rows of the two it tried, 1/2 and 2/5: at 1/2 the
-                # two solutions' mid values differ by one ulp; no later row is evaluated
-                assert convergents[:2] == ((1, 2), (2, 5))
-                assert _scan_row.cache_info().misses == misses + 2
-                size = _scan_row.cache_info().currsize
-                for p, q in convergents[:2]:
-                    mix = _scan_row(3, sol.a, p, q)[0]
-                    assert mix == _mixed_value(3, p / q, sol.a, _right_abscissa(sol.a, p, q))
-                assert _scan_row.cache_info().currsize == size  # both rows were the plan's
+                assert _plan.cache_info().misses == misses + 1
+                assert _plan(3, 0.001, sol.a, sol.mu, 10**7) == plan_witness(3, 0.001, sol)
+            assert _plan.cache_info().currsize == 2
+
+    def test_repeated_plan_is_the_identical_spec(self):
+        clear_memos()
+        sol = solve_tangent(5)
+        first = plan_witness(5, 1e-4, sol)
+        assert all(plan_witness(5, 1e-4, sol) is first for _ in range(3))
+        info = _plan.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+
+    def test_refusal_at_n_cap_raises_again_and_caches_nothing(self):
+        clear_memos()
+        sol = solve_tangent(3)
+        for _ in range(2):
+            with pytest.raises(CapacityError, match="cap 1000000") as err:
+                plan_witness(3, 1e-05, sol, n_cap=10**6)
+            assert err.value.required_n == 1264815  # the n GRID_PINS plans under 10**7
+        info = _plan.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+
+    def test_warm_certify_pass_only_hits_the_plan_memo(self):
+        # a work count, free of timing noise: the chains a warm certify pass repeats
+        rows = self.GRID_PINS[:20]  # the benchmark's certify grid
+
+        def chains():
+            for k, eps, n_cap, *_ in rows:
+                witness_value_and_bound(plan_witness(k, eps, solve_tangent(k), n_cap=n_cap))
+
+        clear_memos()
+        chains()
+        cold = [memo.cache_info() for memo in MEMOS]
+        chains()
+        warm = [memo.cache_info() for memo in MEMOS]
+        assert [w.misses - c.misses for w, c in zip(warm, cold)] == [0, 0, 0]
+        assert warm[0].hits - cold[0].hits == 20
 
     def test_concurrent_chains_keep_their_bits(self):
         rows = self.GRID_PINS[:20]  # the benchmark's certify grid
@@ -678,7 +701,7 @@ class TestWrapMemo:
         sol = solve_tangent(4)
         spec = plan_witness(4, 1e-3, sol)
         assert _wrap_partials.cache_info().currsize == 0  # the plan never sums the wrap
-        assert _scan_row.cache_info().currsize > 0  # but keeps its scan
+        assert _plan.cache_info().currsize == 1  # but keeps its plan
         value = witness_value_and_bound(spec).value
         parts = _wrap_partials(4, sol.a)
         info = _wrap_partials.cache_info()
